@@ -28,7 +28,6 @@ from .dataset import (
     Benchmark,
     ChampionCriterion,
     DerivedMetrics,
-    GroupBy,
     MachineRecord,
     RegressionFit,
     YearlyEfficiency,
@@ -103,7 +102,6 @@ __all__ = [
     "Benchmark",
     "ChampionCriterion",
     "DerivedMetrics",
-    "GroupBy",
     "MachineRecord",
     "RegressionFit",
     "YearlyEfficiency",

@@ -35,7 +35,6 @@ from .core import (
 )
 from .dataset import (
     ChampionCriterion,
-    MachineRecord,
     derive,
     fit_semilog,
     read_records,
@@ -445,22 +444,9 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
         output.table(("processor", "start", "end", "label"), timeline_rows, comments=comments)
 
 
-def _champion_pool(records: list[MachineRecord], top: int | None) -> list[MachineRecord]:
-    if top is None:
-        return records
-    by_year: dict[int, list[MachineRecord]] = {}
-    for r in records:
-        by_year.setdefault(r.year, []).append(r)
-    pool: list[MachineRecord] = []
-    for year in sorted(by_year):
-        pool.extend(sorted(by_year[year], key=lambda r: (r.rank, r.name))[:top])
-    return pool
-
-
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
     records = read_records(args.input)
-    pool = _champion_pool(records, args.top)
-    champions = select_champions(pool, ChampionCriterion(args.select))
+    champions = select_champions(records, ChampionCriterion(args.select), top=args.top)
 
     fit = None
     points = [(float(r.year), derive(r).one_minus_alpha_eff) for r in champions]
@@ -705,3 +691,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

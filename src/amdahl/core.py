@@ -29,6 +29,7 @@ from enum import Enum
 from .errors import (
     DegenerateCoresError,
     InconsistentMeasurementsError,
+    InfeasibleTargetError,
     SuperlinearError,
     UnboundedError,
 )
@@ -77,10 +78,7 @@ class AlphaEstimate:
     cores: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.one_minus_alpha) or not 0.0 <= self.one_minus_alpha <= 1.0:
-            raise ValueError(
-                f"one_minus_alpha must lie in [0, 1], got {self.one_minus_alpha!r}"
-            )
+        _require_fraction(self.one_minus_alpha)
         if self.cores is not None and self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores!r}")
 
@@ -154,6 +152,16 @@ def _require_fraction(one_minus_alpha: float, name: str = "one_minus_alpha") -> 
         raise ValueError(f"{name} must lie in [0, 1], got {one_minus_alpha!r}")
 
 
+def _require_positive(value: float, name: str) -> None:
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_nonnegative(value: float, name: str) -> None:
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _snap_to_unit(x: float) -> float:
     """Clamp a fraction that rounding pushed just past 1 back onto the boundary."""
     if 1.0 < x <= 1.0 + _BOUNDARY_SLACK:
@@ -215,13 +223,14 @@ def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> Alp
     Raises:
         DegenerateCoresError: fewer than 2 processors.
         SuperlinearError: E > 1 (raised when the Efficiency is constructed).
-        ValueError: E < 1/k, which would be a slowdown.
+        InfeasibleTargetError: E < 1/k, which would be a slowdown; no serial
+            fraction in [0, 1] reaches it.
     """
     e = _coerce_efficiency(efficiency)
     _require_cores(cores, 2)
     one_minus = _snap_to_unit(e.inverse_excess / (cores - 1))
     if one_minus > 1.0:
-        raise ValueError(
+        raise InfeasibleTargetError(
             f"efficiency {e.value!r} is below 1/{cores}, a slowdown the model cannot express"
         )
     return AlphaEstimate(one_minus, EstimationMethod.FROM_EFFICIENCY, cores)

@@ -5,8 +5,8 @@ list rank, core count, and measured versus peak throughput for a named
 benchmark. The canonical performance unit in files is Gflop/s.
 
 File format: CSV with header ``year,rank,name,arch,cores,rmax_gflops,
-rpeak_gflops,benchmark``. Lines starting with ``#`` before the header are
-treated as comments, which lets output produced by the CLI round-trip through
+rpeak_gflops,benchmark``. Lines starting with ``#`` are treated as comments
+wherever they appear, which lets output produced by the CLI round-trip through
 this parser. Extra columns after the required eight are ignored, for the same
 reason.
 
@@ -24,7 +24,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .core import Efficiency, alpha_eff_from_efficiency
+from .core import Efficiency, _require_positive, alpha_eff_from_efficiency
 from .errors import (
     DegenerateDataError,
     MalformedRowError,
@@ -38,7 +38,6 @@ __all__ = [
     "MachineRecord",
     "DerivedMetrics",
     "ChampionCriterion",
-    "GroupBy",
     "RegressionFit",
     "YearlyEfficiency",
     "parse_records",
@@ -70,12 +69,6 @@ class ChampionCriterion(Enum):
     BEST_ALPHA = "best-alpha"
 
 
-class GroupBy(Enum):
-    """Grouping key for champion selection. Only calendar years so far."""
-
-    YEAR = "year"
-
-
 @dataclass(frozen=True)
 class MachineRecord:
     """One published measurement of one machine. rmax and rpeak are in Gflop/s."""
@@ -94,10 +87,8 @@ class MachineRecord:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if not math.isfinite(self.rmax) or self.rmax <= 0.0:
-            raise ValueError(f"rmax must be finite and > 0, got {self.rmax!r}")
-        if not math.isfinite(self.rpeak) or self.rpeak <= 0.0:
-            raise ValueError(f"rpeak must be finite and > 0, got {self.rpeak!r}")
+        _require_positive(self.rmax, "rmax")
+        _require_positive(self.rpeak, "rpeak")
         if self.rmax > self.rpeak:
             raise ValueError(
                 f"rmax {self.rmax!r} exceeds rpeak {self.rpeak!r}, which would be superlinear"
@@ -215,32 +206,39 @@ def derive(record: MachineRecord) -> DerivedMetrics:
     return DerivedMetrics(efficiency=eff, one_minus_alpha_eff=estimate.one_minus_alpha)
 
 
+def _year_cohorts(records: Iterable[MachineRecord], top: int | None) -> list[list[MachineRecord]]:
+    """Each year's records, years ascending.
+
+    With ``top``, each year keeps only its first ``top`` records by (rank, name).
+    """
+    by_year: dict[int, list[MachineRecord]] = {}
+    for r in records:
+        by_year.setdefault(r.year, []).append(r)
+    cohorts = [by_year[year] for year in sorted(by_year)]
+    if top is None:
+        return cohorts
+    return [sorted(cohort, key=lambda r: (r.rank, r.name))[:top] for cohort in cohorts]
+
+
 def select_champions(
     records: Iterable[MachineRecord],
     by: ChampionCriterion,
-    group: GroupBy = GroupBy.YEAR,
+    top: int | None = None,
 ) -> list[MachineRecord]:
-    """The best record of each group (per year), groups ascending.
+    """The best record of each year, years ascending.
 
     BEST_RMAX takes the highest measured throughput, BEST_ALPHA the smallest
     derived serial fraction. Ties break toward the lower list rank, then the
-    lexicographically smaller name.
+    lexicographically smaller name. With ``top``, only each year's first
+    ``top`` records by (rank, name) compete.
     """
-    if group is not GroupBy.YEAR:
-        raise ValueError(f"unsupported grouping {group!r}")
-    groups: dict[int, list[MachineRecord]] = {}
-    for r in records:
-        groups.setdefault(r.year, []).append(r)
-
-    champions = []
-    for year in sorted(groups):
-        group = groups[year]
-        if by is ChampionCriterion.BEST_RMAX:
-            key = lambda r: (-r.rmax, r.rank, r.name)
-        else:
-            key = lambda r: (derive(r).one_minus_alpha_eff, r.rank, r.name)
-        champions.append(min(group, key=key))
-    return champions
+    if top is not None and top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    if by is ChampionCriterion.BEST_RMAX:
+        key = lambda r: (-r.rmax, r.rank, r.name)
+    else:
+        key = lambda r: (derive(r).one_minus_alpha_eff, r.rank, r.name)
+    return [min(cohort, key=key) for cohort in _year_cohorts(records, top)]
 
 
 @dataclass(frozen=True)
@@ -299,24 +297,19 @@ def yearly_mean_efficiency(
 ) -> list[YearlyEfficiency]:
     """Mean and population standard deviation of efficiency over each year's top ranks.
 
-    Within a year, records are ordered by list rank and the first ``top_n``
-    enter the statistics (all of them when the year has fewer). The standard
-    deviation is the population form: these are the complete top-N cohorts,
-    not samples from something larger.
+    Within a year, records are ordered by list rank, then name, and the first
+    ``top_n`` enter the statistics (all of them when the year has fewer). The
+    standard deviation is the population form: these are the complete top-N
+    cohorts, not samples from something larger.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    groups: dict[int, list[MachineRecord]] = {}
-    for r in records:
-        groups.setdefault(r.year, []).append(r)
-
     rows = []
-    for year in sorted(groups):
-        cohort = sorted(groups[year], key=lambda r: (r.rank, r.name))[:top_n]
+    for cohort in _year_cohorts(records, top_n):
         efficiencies = [r.rmax / r.rpeak for r in cohort]
         rows.append(
             YearlyEfficiency(
-                year=year,
+                year=cohort[0].year,
                 mean_efficiency=statistics.fmean(efficiencies),
                 sd_efficiency=statistics.pstdev(efficiencies),
             )

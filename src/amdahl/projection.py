@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import Efficiency, efficiency_from_alpha, _require_cores, _require_fraction
-from .errors import (
-    AlphaOverflowError,
-    InfeasibleTargetError,
-    UnboundedError,
-    ZeroBudgetError,
+from .core import (
+    Efficiency,
+    _require_cores,
+    _require_fraction,
+    _require_nonnegative,
+    _require_positive,
+    alpha_eff_from_efficiency,
+    efficiency_from_alpha,
 )
+from .errors import AlphaOverflowError, UnboundedError, ZeroBudgetError
 
 __all__ = [
     "CurvePoint",
@@ -74,14 +77,12 @@ def project_curve(
     at 1). Efficiency then follows from the serial fraction at that count.
     """
     _require_cores(base_cores, minimum=1)
-    _require_fraction(one_minus_alpha, "one_minus_alpha")
-    if not math.isfinite(base_rpeak) or base_rpeak <= 0.0:
-        raise ValueError(f"base_rpeak must be finite and > 0, got {base_rpeak!r}")
+    _require_fraction(one_minus_alpha)
+    _require_positive(base_rpeak, "base_rpeak")
 
     points = []
     for rp in rpeak_grid:
-        if not math.isfinite(rp) or rp <= 0.0:
-            raise ValueError(f"grid rpeak must be finite and > 0, got {rp!r}")
+        _require_positive(rp, "grid rpeak")
         cores = max(1, round(base_cores * rp / base_rpeak))
         eff = efficiency_from_alpha(one_minus_alpha, cores)
         points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=eff.value, rmax=eff.value * rp))
@@ -109,13 +110,10 @@ class ScalingScenario:
     def __post_init__(self) -> None:
         _require_fraction(self.base_one_minus_alpha, "base_one_minus_alpha")
         _require_cores(self.base_cores, minimum=1)
-        if not math.isfinite(self.alpha_scale_factor) or self.alpha_scale_factor < 0.0:
-            raise ValueError(
-                f"alpha_scale_factor must be finite and >= 0, got {self.alpha_scale_factor!r}"
-            )
+        _require_nonnegative(self.alpha_scale_factor, "alpha_scale_factor")
         for label, value in (("base_rpeak", self.base_rpeak), ("target_rpeak", self.target_rpeak)):
-            if value is not None and (not math.isfinite(value) or value <= 0.0):
-                raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+            if value is not None:
+                _require_positive(value, label)
         if self.target_cores is not None:
             _require_cores(self.target_cores, minimum=1)
         if self.target_cores is None and self.target_rpeak is None:
@@ -168,19 +166,14 @@ def whatif(scenario: ScalingScenario) -> ScenarioResult:
 def required_one_minus_alpha(target_efficiency: float | Efficiency, cores: int) -> float:
     """The serial fraction a code must stay under to hit an efficiency at a core count.
 
+    This is the efficiency inversion of :func:`alpha_eff_from_efficiency` read
+    as a requirement; the boundary E = 1/cores maps to 1.
+
     Raises:
         InfeasibleTargetError: the target efficiency is below 1/cores, which no
             serial fraction in [0, 1] can satisfy.
     """
-    eff = target_efficiency if isinstance(target_efficiency, Efficiency) else Efficiency(target_efficiency)
-    _require_cores(cores, minimum=2)
-    required = eff.inverse_excess / (cores - 1)
-    if required > 1.0:
-        raise InfeasibleTargetError(
-            f"efficiency {eff.value!r} at {cores} cores needs a serial fraction of "
-            f"{required!r}, above the whole runtime"
-        )
-    return required
+    return alpha_eff_from_efficiency(target_efficiency, cores).one_minus_alpha
 
 
 def saturation_rmax(per_processor_rpeak: float, one_minus_alpha: float) -> float:
@@ -193,11 +186,8 @@ def saturation_rmax(per_processor_rpeak: float, one_minus_alpha: float) -> float
     Raises:
         UnboundedError: the serial fraction is zero, there is no ceiling.
     """
-    if not math.isfinite(per_processor_rpeak) or per_processor_rpeak <= 0.0:
-        raise ValueError(
-            f"per_processor_rpeak must be finite and > 0, got {per_processor_rpeak!r}"
-        )
-    _require_fraction(one_minus_alpha, "one_minus_alpha")
+    _require_positive(per_processor_rpeak, "per_processor_rpeak")
+    _require_fraction(one_minus_alpha)
     if one_minus_alpha == 0.0:
         raise UnboundedError("serial fraction is zero, throughput grows without bound")
     return per_processor_rpeak / one_minus_alpha
@@ -221,26 +211,14 @@ class ContributionBudget:
     per_processor_flops: float | None = None
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("clock_hz", self.clock_hz),
-            ("total_time_s", self.total_time_s),
-        ):
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{label} must be finite and > 0, got {value!r}")
-        for label, value in (
-            ("hardware_cycles", self.hardware_cycles),
-            ("os_cycles", self.os_cycles),
-            ("software_cycles", self.software_cycles),
-            ("physical_size_m", self.physical_size_m),
-        ):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{label} must be finite and >= 0, got {value!r}")
-        if self.per_processor_flops is not None and (
-            not math.isfinite(self.per_processor_flops) or self.per_processor_flops <= 0.0
-        ):
-            raise ValueError(
-                f"per_processor_flops must be finite and > 0, got {self.per_processor_flops!r}"
-            )
+        _require_positive(self.clock_hz, "clock_hz")
+        _require_positive(self.total_time_s, "total_time_s")
+        _require_nonnegative(self.hardware_cycles, "hardware_cycles")
+        _require_nonnegative(self.os_cycles, "os_cycles")
+        _require_nonnegative(self.software_cycles, "software_cycles")
+        _require_nonnegative(self.physical_size_m, "physical_size_m")
+        if self.per_processor_flops is not None:
+            _require_positive(self.per_processor_flops, "per_processor_flops")
 
 
 @dataclass(frozen=True)
@@ -263,8 +241,11 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
 
     Raises:
         ZeroBudgetError: every contribution is zero, no bound follows.
+        ValueError: the run has no representable cycle count, or the
+            contributions exceed it (a serial fraction above 1).
     """
     total_cycles = budget.clock_hz * budget.total_time_s
+    _require_positive(total_cycles, "total_cycles")
     propagation_cycles = (
         2.0 * budget.physical_size_m / SPEED_OF_LIGHT_M_PER_S
     ) * budget.clock_hz
@@ -279,6 +260,8 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
         raise ZeroBudgetError("all serial contributions are zero, no bound follows")
 
     min_oma = contributed / total_cycles
+    # A budget that claims more serial cycles than the run has is not a bound.
+    _require_fraction(min_oma, "min_one_minus_alpha")
     saturation = (
         None
         if budget.per_processor_flops is None

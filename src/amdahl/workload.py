@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Union
 
-from .core import AlphaEstimate, EstimationMethod, Speedup
+from .core import AlphaEstimate, EstimationMethod, Speedup, alpha_eff_from_speedup
 from .errors import InvalidTemplateError, InvalidWorkloadError
 
 __all__ = [
@@ -183,8 +183,10 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
 
     alpha: AlphaEstimate | None = None
     if k >= 2 and speedup.value >= 1.0:
-        one_minus = (k - speedup.value) / ((k - 1) * speedup.value)
-        alpha = AlphaEstimate(min(max(one_minus, 0.0), 1.0), EstimationMethod.SIMULATED, k)
+        # Summation rounding can leave S a few ulp above k; the schedule itself
+        # can never beat k processors, so clamp before inverting.
+        estimate = alpha_eff_from_speedup(min(speedup.value, float(k)), k)
+        alpha = AlphaEstimate(estimate.one_minus_alpha, EstimationMethod.SIMULATED, k)
 
     idle = tuple(max(0.0, parallel_time - b) for b in busy)
     return ScheduleResult(
@@ -298,23 +300,20 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
             raise InvalidWorkloadError(f"phase {i} must be an object, got {item!r}")
         kind = item.get("type")
         if kind == "sequential":
-            phases.append(SequentialPhase(_number(item, "duration", i)))
+            phases.append(
+                SequentialPhase(_number(item.get("duration"), f"phase {i}: 'duration'"))
+            )
         elif kind == "parallel":
             chunks = item.get("chunks")
             if not isinstance(chunks, list) or not chunks:
                 raise InvalidWorkloadError(f"phase {i}: 'chunks' must be a non-empty array")
-            converted = []
-            for j, c in enumerate(chunks, 1):
-                if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
-                    raise InvalidWorkloadError(
-                        f"phase {i}: chunk {j} must be a finite number, got {c!r}"
-                    )
-                converted.append(float(c))
             phases.append(
                 ParallelPhase(
-                    chunks=tuple(converted),
-                    dispatch_overhead=_number(item, "dispatch", i, default=0.0),
-                    collect_overhead=_number(item, "collect", i, default=0.0),
+                    chunks=tuple(
+                        _number(c, f"phase {i}: chunk {j}") for j, c in enumerate(chunks, 1)
+                    ),
+                    dispatch_overhead=_number(item.get("dispatch", 0.0), f"phase {i}: 'dispatch'"),
+                    collect_overhead=_number(item.get("collect", 0.0), f"phase {i}: 'collect'"),
                 )
             )
         else:
@@ -324,8 +323,7 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
     return WorkloadSpec(processors, tuple(phases))
 
 
-def _number(item: dict, key: str, index: int, default: float | None = None) -> float:
-    value = item.get(key, default)
+def _number(value: object, what: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
-    raise InvalidWorkloadError(f"phase {index}: '{key}' must be a finite number, got {value!r}")
+    raise InvalidWorkloadError(f"{what} must be a finite number, got {value!r}")

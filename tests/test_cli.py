@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import amdahl
 from amdahl.cli import main, run
 from amdahl.core import alpha_eff_from_efficiency
 from amdahl.dataset import fixture_path, parse_records, read_records
@@ -424,6 +427,20 @@ class TestBounds:
         code, _, err = cli(capsys, "bounds", "--clock-hz", "1e9", "--runtime-s", "1")
         assert code == 2
 
+    def test_budget_above_the_run_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "bounds", "--clock-hz", "1", "--runtime-s", "1", "--hw-cycles", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: min_one_minus_alpha")
+
+    def test_underflowing_cycle_count_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "bounds", "--clock-hz", "1e-320", "--runtime-s", "1e-320", "--hw-cycles", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: total_cycles")
+
 
 class TestSaturation:
     def test_reference_value(self, capsys):
@@ -552,3 +569,13 @@ class TestHarness:
             main()
         assert excinfo.value.code == 0
         assert "2.500e-01" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        # The package is stdlib-only, so its own parent directory is enough.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(amdahl.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "amdahl.cli", "alpha", "--efficiency", "0.5", "--cores", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip()

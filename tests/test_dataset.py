@@ -15,7 +15,6 @@ from amdahl.dataset import (
     Architecture,
     Benchmark,
     ChampionCriterion,
-    GroupBy,
     MachineRecord,
     derive,
     fit_semilog,
@@ -214,10 +213,31 @@ class TestChampions:
         champs = select_champions(rows, ChampionCriterion.BEST_ALPHA)
         assert [c.year for c in champs] == [1997, 1999, 2001]
 
-    def test_group_argument_is_checked(self):
-        select_champions([record()], ChampionCriterion.BEST_RMAX, group=GroupBy.YEAR)
+    @given(
+        st.lists(
+            st.builds(
+                record,
+                year=st.integers(min_value=2000, max_value=2002),
+                rank=st.integers(min_value=1, max_value=3),
+                name=st.sampled_from(("A", "B", "C")),
+                cores=st.sampled_from((10, 1000)),
+                rmax=st.sampled_from((250.0, 500.0, 750.0)),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from(list(ChampionCriterion)),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_top_selects_from_each_years_best_ranks(self, records, by, top):
+        pool = []
+        for year in sorted({r.year for r in records}):
+            cohort = [r for r in records if r.year == year]
+            pool += sorted(cohort, key=lambda r: (r.rank, r.name))[:top]
+        assert select_champions(records, by, top=top) == select_champions(pool, by)
+
+    def test_top_must_be_positive(self):
         with pytest.raises(ValueError):
-            select_champions([record()], ChampionCriterion.BEST_RMAX, group="month")
+            select_champions([record()], ChampionCriterion.BEST_RMAX, top=0)
 
 
 class TestSemilogFit:

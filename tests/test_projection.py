@@ -235,8 +235,9 @@ class TestRequiredAlpha:
     def test_unit_efficiency_needs_no_serial_work(self):
         assert required_one_minus_alpha(1.0, 1000) == 0.0
 
-    def test_boundary_efficiency_allows_everything(self):
-        assert required_one_minus_alpha(0.25, 4) == 1.0
+    @pytest.mark.parametrize("efficiency, cores", [(0.25, 4), (1 / 3, 3), (1 / 7, 7)])
+    def test_boundary_efficiency_allows_everything(self, efficiency, cores):
+        assert required_one_minus_alpha(efficiency, cores) == 1.0
 
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
@@ -321,6 +322,16 @@ class TestBounds:
     def test_zero_budget(self):
         with pytest.raises(ZeroBudgetError):
             bounds(ContributionBudget(clock_hz=1e9, total_time_s=1.0))
+
+    def test_contributions_above_the_run_are_rejected(self):
+        budget = ContributionBudget(clock_hz=1.0, total_time_s=1.0, hardware_cycles=5.0)
+        with pytest.raises(ValueError, match="min_one_minus_alpha must lie in"):
+            bounds(budget)
+
+    def test_underflowing_cycle_count_is_rejected(self):
+        budget = ContributionBudget(clock_hz=1e-320, total_time_s=1e-320, hardware_cycles=1.0)
+        with pytest.raises(ValueError, match="total_cycles must be finite and > 0"):
+            bounds(budget)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

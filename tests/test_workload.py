@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from amdahl.core import EstimationMethod
 from amdahl.dataset import fixture_path
 from amdahl.workload import (
     ParallelPhase,
@@ -143,6 +144,12 @@ class TestSimulatorEdges:
     def test_zero_duration_overheads_leave_no_segments(self):
         result = simulate(classic_spec())
         assert all("dispatch" not in s.label and "collect" not in s.label for s in result.timeline)
+
+    def test_speedup_rounded_past_k_is_clamped(self):
+        # 0.1 + 0.1 + 0.1 sums to a few ulp above 0.3, so S lands just above k.
+        result = simulate(WorkloadSpec(3, (ParallelPhase((0.1, 0.1, 0.1)),)))
+        assert result.alpha_eff.one_minus_alpha == 0.0
+        assert result.alpha_eff.method is EstimationMethod.SIMULATED
 
     def test_ties_go_to_lowest_index(self):
         result = simulate(WorkloadSpec(processors=3, phases=(ParallelPhase(chunks=(1.0, 1.0)),)))
