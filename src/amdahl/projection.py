@@ -23,7 +23,7 @@ from .core import (
     alpha_eff_from_efficiency,
     efficiency_from_alpha,
 )
-from .errors import AlphaOverflowError, UnboundedError, ZeroBudgetError
+from .errors import AlphaOverflowError, ModelError, UnboundedError, ZeroBudgetError
 
 __all__ = [
     "CurvePoint",
@@ -185,12 +185,19 @@ def saturation_rmax(per_processor_rpeak: float, one_minus_alpha: float) -> float
 
     Raises:
         UnboundedError: the serial fraction is zero, there is no ceiling.
+        ModelError: the ceiling lies beyond the float range.
     """
     _require_positive(per_processor_rpeak, "per_processor_rpeak")
     _require_fraction(one_minus_alpha)
     if one_minus_alpha == 0.0:
         raise UnboundedError("serial fraction is zero, throughput grows without bound")
-    return per_processor_rpeak / one_minus_alpha
+    ceiling = per_processor_rpeak / one_minus_alpha
+    if not math.isfinite(ceiling):
+        raise ModelError(
+            f"saturation throughput {per_processor_rpeak!r} / {one_minus_alpha!r} "
+            "overflows the float range"
+        )
+    return ceiling
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ A workload is an ordered list of phases executed on k processors:
   to the lowest index), and after the last chunk finishes optionally pays a
   collect overhead, again on processor 0.
 
-Chunks may outnumber processors; the greedy placement then packs them into
-multiple rounds. Waiting time is never an input: it emerges wherever a
-processor has nothing to do.
+Chunks may outnumber processors; the greedy placement (Graham's list
+scheduling) then packs them into multiple rounds. A heap of (free time,
+index) pairs finds each chunk's processor, so placing n chunks on k
+processors costs O(n log k). Waiting time is never an input: it emerges
+wherever a processor has nothing to do.
 
 The serial baseline used for speedup is the same work run on one processor
 with no dispatch or collect overheads (those exist only because of the
@@ -21,6 +23,7 @@ same processor count.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -101,12 +104,26 @@ def _validate_phase(phase: Phase, index: int) -> None:
         raise InvalidWorkloadError(f"phase {index}: unknown phase object {phase!r}")
 
 
+def _finite(x: object) -> float | None:
+    """x as a finite float, or None if it is not a real number inside the float range."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an int too large for a float
+            return None
+        if math.isfinite(value):
+            return value
+    return None
+
+
 def _positive(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+    value = _finite(x)
+    return value is not None and value > 0
 
 
 def _nonnegative(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
+    value = _finite(x)
+    return value is not None and value >= 0
 
 
 class TimelineSegment(NamedTuple):
@@ -161,14 +178,19 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
             busy[0] += phase.dispatch_overhead
             clock += phase.dispatch_overhead
 
-        free = [clock] * k
+        # Sorted by (time, index), so the list is already a heap.
+        free = [(clock, p) for p in range(k)]
+        phase_end = clock
         for j, chunk in enumerate(phase.chunks, 1):
-            p = min(range(k), key=free.__getitem__)
-            timeline.append(TimelineSegment(p, free[p], free[p] + chunk, f"chunk{index}.{j}"))
+            start, p = free[0]
+            end = start + chunk
+            timeline.append(TimelineSegment(p, start, end, f"chunk{index}.{j}"))
             busy[p] += chunk
-            free[p] += chunk
             serial_chunks += chunk
-        clock = max(free)
+            heapq.heapreplace(free, (end, p))
+            if end > phase_end:
+                phase_end = end
+        clock = phase_end
 
         if phase.collect_overhead > 0.0:
             timeline.append(
@@ -179,25 +201,35 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
 
     serial_time = serial_seq + serial_chunks
     parallel_time = clock
+    if not (math.isfinite(serial_time) and math.isfinite(parallel_time)):
+        raise InvalidWorkloadError(
+            f"workload overflows the time range: serial time {serial_time!r}, "
+            f"parallel time {parallel_time!r}"
+        )
     speedup = Speedup(serial_time / parallel_time)
-
-    alpha: AlphaEstimate | None = None
-    if k >= 2 and speedup.value >= 1.0:
-        # Summation rounding can leave S a few ulp above k; the schedule itself
-        # can never beat k processors, so clamp before inverting.
-        estimate = alpha_eff_from_speedup(min(speedup.value, float(k)), k)
-        alpha = AlphaEstimate(estimate.one_minus_alpha, EstimationMethod.SIMULATED, k)
+    one_minus = _simulated_fraction(speedup.value, k)
 
     idle = tuple(max(0.0, parallel_time - b) for b in busy)
     return ScheduleResult(
         serial_time=serial_time,
         parallel_time=parallel_time,
         speedup=speedup,
-        alpha_eff=alpha,
+        alpha_eff=(
+            None if one_minus is None else AlphaEstimate(one_minus, EstimationMethod.SIMULATED, k)
+        ),
         per_processor_busy=tuple(busy),
         per_processor_idle=idle,
         timeline=tuple(timeline),
     )
+
+
+def _simulated_fraction(speedup: float, k: int) -> float | None:
+    """1 - alpha_eff of a simulated speedup; None on one processor or below S = 1."""
+    if k < 2 or speedup < 1.0:
+        return None
+    # Summation rounding can leave S a few ulp above k; the schedule itself
+    # can never beat k processors, so clamp before inverting.
+    return alpha_eff_from_speedup(min(speedup, float(k)), k).one_minus_alpha
 
 
 class SweepPoint(NamedTuple):
@@ -216,8 +248,8 @@ def sweep_alpha_eff(
 ) -> list[SweepPoint]:
     """Map how the effective parallel fraction degrades with overhead and serial work.
 
-    The template must contain exactly one parallel phase. At each grid point
-    the template is rescaled and simulated on ``processors`` processors:
+    The template must contain exactly one parallel phase. Each grid point is
+    the template rescaled and run on ``processors`` processors:
 
     * total overhead (dispatch + collect) is set to overhead_ratio times the
       largest chunk, split like the template's own overheads (evenly when the
@@ -226,7 +258,18 @@ def sweep_alpha_eff(
       against the template's own sequential time (ratio 1 keeps it, ratio 0
       removes the sequential phases entirely).
 
+    A parallel phase always starts on an idle machine, so the span of its
+    chunks depends on neither ratio. The chunks are placed once, by
+    :func:`simulate`, and each grid point then costs O(1): its parallel time
+    is sequential time + dispatch + span + collect, its serial time is
+    sequential time + chunk work. Values can differ from simulating each
+    rescaled workload in the last few bits, because the span is measured
+    from time 0 rather than from the end of the preceding phases.
+
     Grid points are emitted with the overhead ratio as the outer loop.
+
+    Raises:
+        InvalidWorkloadError: a grid point's times overflow the float range.
     """
     if processors < 2:
         raise ValueError("a sweep needs at least 2 processors to define alpha_eff")
@@ -246,24 +289,23 @@ def sweep_alpha_eff(
         if not _nonnegative(r):
             raise ValueError(f"sweep ratios must be finite and >= 0, got {r!r}")
 
+    placed = simulate(WorkloadSpec(processors, (ParallelPhase(base.chunks),)))
+    span, chunk_work = placed.parallel_time, placed.serial_time
+    durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
+    sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]
+
     points: list[SweepPoint] = []
     for ov in overhead_ratios:
         total = ov * max_chunk
-        scaled_parallel = ParallelPhase(
-            chunks=base.chunks,
-            dispatch_overhead=total * dispatch_share,
-            collect_overhead=total * (1.0 - dispatch_share),
-        )
-        for seq in sequential_ratios:
-            phases: list[Phase] = []
-            for phase in template.phases:
-                if isinstance(phase, SequentialPhase):
-                    if seq > 0.0:
-                        phases.append(SequentialPhase(phase.duration * seq))
-                else:
-                    phases.append(scaled_parallel)
-            result = simulate(WorkloadSpec(processors, tuple(phases)))
-            one_minus = result.alpha_eff.one_minus_alpha if result.alpha_eff else None
+        parallel_part = total * dispatch_share + span + total * (1.0 - dispatch_share)
+        for seq, seq_time in zip(sequential_ratios, sequential_times):
+            parallel_time = seq_time + parallel_part
+            serial_time = seq_time + chunk_work
+            if not (math.isfinite(parallel_time) and math.isfinite(serial_time)):
+                raise InvalidWorkloadError(
+                    f"sweep point overhead={ov!r} sequential={seq!r} overflows the time range"
+                )
+            one_minus = _simulated_fraction(serial_time / parallel_time, processors)
             points.append(SweepPoint(ov, seq, one_minus))
     return points
 
@@ -324,6 +366,7 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
 
 
 def _number(value: object, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise InvalidWorkloadError(f"{what} must be a finite number, got {value!r}")
+    number = _finite(value)
+    if number is None:
+        raise InvalidWorkloadError(f"{what} must be a finite number, got {value!r}")
+    return number

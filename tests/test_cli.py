@@ -157,6 +157,25 @@ class TestSimulate:
         code, _, err = cli(capsys, "simulate", "--workload", str(bad))
         assert code == 2
 
+    def test_total_time_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        doc = {"processors": 2, "phases": [{"type": "sequential", "duration": 1e308}] * 2}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: workload overflows the time range")
+
+    def test_integer_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"processors": 2, "phases": [{"type": "sequential", "duration": 1'
+            + "0" * 400 + "}]}",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: phase 1: 'duration' must be a finite number")
+
 
 class TestTimeline:
     def test_csv_round_trips_through_the_parser(self, capsys):
@@ -473,6 +492,13 @@ class TestSaturation:
         )
         assert code == 1 and "suffix" in err
 
+    def test_ceiling_beyond_the_float_range_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "saturation", "--per-proc-flops", "1e308", "--one-minus-alpha", "1e-320"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: saturation throughput") and "overflows" in err
+
 
 class TestSweep:
     def test_grid_rows_and_order(self, capsys):
@@ -516,6 +542,16 @@ class TestSweep:
             "--overhead", "-0.5", "--sequential", "0",
         )
         assert code == 2
+
+    def test_grid_point_beyond_the_float_range_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "sweep", "--workload", REALISTIC,
+            "--overhead", "0,1e308", "--sequential", "0,1e308",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: sweep point overhead=0.0 sequential=1e+308 overflows the time range\n"
+        )
 
 
 class TestHarness:

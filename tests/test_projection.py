@@ -24,6 +24,7 @@ from amdahl.errors import (
     AlphaOverflowError,
     DegenerateCoresError,
     InfeasibleTargetError,
+    ModelError,
     UnboundedError,
     ZeroBudgetError,
 )
@@ -270,6 +271,11 @@ class TestSaturation:
             saturation_rmax(0.0, 0.5)
         with pytest.raises(ValueError):
             saturation_rmax(10.0, 1.5)
+
+    def test_ceiling_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(ModelError, match="overflows"):
+            saturation_rmax(1e308, 1e-320)
+        assert saturation_rmax(1e300, 1e-7) == pytest.approx(1e307, rel=1e-15)
 
     @given(st.floats(min_value=1e-3, max_value=1e6), fractions)
     def test_scales_linearly_in_per_processor_peak(self, per, oma):

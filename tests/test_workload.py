@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amdahl.core import EstimationMethod
@@ -151,6 +151,13 @@ class TestSimulatorEdges:
         assert result.alpha_eff.one_minus_alpha == 0.0
         assert result.alpha_eff.method is EstimationMethod.SIMULATED
 
+    def test_total_time_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(InvalidWorkloadError, match="overflows the time range"):
+            simulate(WorkloadSpec(2, (SequentialPhase(1e308), SequentialPhase(1e308))))
+        # The makespan fits; only the serial baseline overflows.
+        with pytest.raises(InvalidWorkloadError, match="serial time inf"):
+            simulate(WorkloadSpec(2, (ParallelPhase((1e308, 1e308)),)))
+
     def test_ties_go_to_lowest_index(self):
         result = simulate(WorkloadSpec(processors=3, phases=(ParallelPhase(chunks=(1.0, 1.0)),)))
         chunk_segments = [s for s in result.timeline if s.label.startswith("chunk")]
@@ -186,6 +193,18 @@ class TestWorkloadValidation:
                 processors=2,
                 phases=(ParallelPhase(chunks=(1.0,), dispatch_overhead=-0.5),),
             )
+
+    def test_integers_beyond_the_float_range_are_rejected(self):
+        huge = 10**400
+        for phase in (
+            SequentialPhase(huge),
+            ParallelPhase(chunks=(1.0, huge)),
+            ParallelPhase(chunks=(1.0,), collect_overhead=huge),
+        ):
+            with pytest.raises(InvalidWorkloadError):
+                WorkloadSpec(processors=2, phases=(phase,))
+        spec = WorkloadSpec(processors=2, phases=(SequentialPhase(10**300),))
+        assert simulate(spec).serial_time == 1e300
 
 
 @st.composite
@@ -289,6 +308,158 @@ class TestSimulatorProperties:
         assert result.alpha_eff.alpha == 0.75
 
 
+def linear_scan_timeline(spec: WorkloadSpec) -> list[TimelineSegment]:
+    """The greedy schedule placed by scanning every processor for each chunk."""
+    k = spec.processors
+    clock = 0.0
+    segments = []
+    for index, phase in enumerate(spec.phases, 1):
+        if isinstance(phase, SequentialPhase):
+            segments.append(TimelineSegment(0, clock, clock + phase.duration, f"seq{index}"))
+            clock += phase.duration
+            continue
+        if phase.dispatch_overhead > 0.0:
+            end = clock + phase.dispatch_overhead
+            segments.append(TimelineSegment(0, clock, end, f"dispatch{index}"))
+            clock = end
+        free = [clock] * k
+        for j, chunk in enumerate(phase.chunks, 1):
+            p = min(range(k), key=free.__getitem__)
+            segments.append(TimelineSegment(p, free[p], free[p] + chunk, f"chunk{index}.{j}"))
+            free[p] += chunk
+        clock = max(free)
+        if phase.collect_overhead > 0.0:
+            end = clock + phase.collect_overhead
+            segments.append(TimelineSegment(0, clock, end, f"collect{index}"))
+            clock = end
+    return segments
+
+
+durations = st.one_of(
+    st.integers(min_value=1, max_value=8).map(lambda q: q / 4),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+
+
+@st.composite
+def wide_specs(draw):
+    """Up to 64 processors and 80 chunks a phase, so k > n, k < n and exact ties all occur."""
+    processors = draw(st.integers(min_value=1, max_value=64))
+    phases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            phases.append(SequentialPhase(draw(durations)))
+        else:
+            phases.append(
+                ParallelPhase(
+                    chunks=tuple(draw(st.lists(durations, min_size=1, max_size=80))),
+                    dispatch_overhead=draw(st.sampled_from([0.0, 0.5])),
+                    collect_overhead=draw(st.sampled_from([0.0, 0.25])),
+                )
+            )
+    return WorkloadSpec(processors=processors, phases=tuple(phases))
+
+
+class TestHeapPlacement:
+    @given(wide_specs())
+    @example(WorkloadSpec(5, (ParallelPhase(chunks=(1.0, 1.0)),)))
+    @example(WorkloadSpec(4, (ParallelPhase(chunks=(0.5,) * 13),)))
+    @example(WorkloadSpec(3, (ParallelPhase(chunks=(2.0, 1.0, 1.0, 1.0, 1.0, 2.0)),)))
+    def test_matches_linear_scan_placement(self, spec):
+        result = simulate(spec)
+        reference = linear_scan_timeline(spec)
+        assert result.timeline == tuple(reference)
+        assert result.parallel_time == max(segment.end for segment in reference)
+
+
+def rescaled(template: WorkloadSpec, processors: int, overhead: float, sequential: float):
+    """One sweep grid point built as the sweep documents it, for simulate to run."""
+    base = next(p for p in template.phases if isinstance(p, ParallelPhase))
+    base_total = base.dispatch_overhead + base.collect_overhead
+    share = base.dispatch_overhead / base_total if base_total > 0.0 else 0.5
+    total = overhead * max(base.chunks)
+    phases = []
+    for phase in template.phases:
+        if isinstance(phase, ParallelPhase):
+            phases.append(ParallelPhase(base.chunks, total * share, total * (1.0 - share)))
+        elif phase.duration * sequential > 0.0:  # a duration that underflows adds nothing
+            phases.append(SequentialPhase(phase.duration * sequential))
+    return WorkloadSpec(processors, tuple(phases))
+
+
+def simulated_point(template, processors, overhead, sequential):
+    result = simulate(rescaled(template, processors, overhead, sequential))
+    return None if result.alpha_eff is None else result.alpha_eff.one_minus_alpha
+
+
+@st.composite
+def sweep_cases(draw, duration, overheads, ratio):
+    """A one-parallel-phase template, a processor count and a small grid."""
+    dispatch, collect = draw(overheads)
+    phases = [
+        ParallelPhase(
+            chunks=tuple(draw(st.lists(duration, min_size=1, max_size=24))),
+            dispatch_overhead=dispatch,
+            collect_overhead=collect,
+        )
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        phases.insert(
+            draw(st.integers(min_value=0, max_value=len(phases))), SequentialPhase(draw(duration))
+        )
+    template = WorkloadSpec(processors=2, phases=tuple(phases))
+    processors = draw(st.integers(min_value=2, max_value=16))
+    grid = st.lists(ratio, min_size=1, max_size=4)
+    return template, processors, draw(grid), draw(grid)
+
+
+# Multiples of 1/4, and template overheads summing to a power of two so the
+# dispatch share is dyadic too: every sum and product is exact.
+exact_cases = sweep_cases(
+    st.integers(min_value=1, max_value=40).map(lambda q: q / 4),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]).flatmap(
+        lambda total: st.integers(min_value=0, max_value=int(4 * total)).map(
+            lambda q: (q / 4, total - q / 4)
+        )
+    ),
+    st.integers(min_value=0, max_value=32).map(lambda q: q / 4),
+)
+overhead = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+float_cases = sweep_cases(
+    st.floats(min_value=0.01, max_value=100.0),
+    st.tuples(overhead, overhead),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+)
+
+
+class TestSweepMatchesSimulation:
+    @given(exact_cases)
+    def test_exact_grid_is_bit_identical(self, case):
+        template, processors, overheads, sequentials = case
+        points = sweep_alpha_eff(processors, template, overheads, sequentials)
+        assert [p.one_minus_alpha_eff for p in points] == [
+            simulated_point(template, processors, o, s) for o in overheads for s in sequentials
+        ]
+
+    @given(float_cases)
+    def test_float_grid_agrees_to_rounding(self, case):
+        template, processors, overheads, sequentials = case
+        points = sweep_alpha_eff(processors, template, overheads, sequentials)
+        expected = [
+            simulated_point(template, processors, o, s) for o in overheads for s in sequentials
+        ]
+        for point, want in zip(points, expected):
+            got = point.one_minus_alpha_eff
+            if got is None or want is None:
+                # Only a speedup rounded across exactly 1 may differ; the
+                # other side then reads a fully serial run.
+                assert got == want or pytest.approx(1.0, rel=1e-12) in (got, want)
+            else:
+                # Near 0 the fraction is a difference of nearly equal times,
+                # so the bound there is absolute.
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestSweep:
     def test_requires_single_parallel_phase(self):
         no_parallel = WorkloadSpec(processors=2, phases=(SequentialPhase(1.0),))
@@ -310,6 +481,17 @@ class TestSweep:
             sweep_alpha_eff(3, realistic_spec(), [-0.1], [1.0])
         with pytest.raises(ValueError):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [-1.0])
+        with pytest.raises(ValueError):
+            sweep_alpha_eff(3, realistic_spec(), [0.0], [10**400])
+
+    def test_point_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(
+            InvalidWorkloadError,
+            match=r"^sweep point overhead=0\.0 sequential=1e\+308 overflows the time range$",
+        ):
+            sweep_alpha_eff(3, realistic_spec(), [0.0, 1e308], [0.0, 1e308])
+        with pytest.raises(InvalidWorkloadError, match=r"overhead=1e\+308 sequential=0\.0"):
+            sweep_alpha_eff(3, realistic_spec(), [1e308], [0.0])
 
     def test_working_point(self):
         points = sweep_alpha_eff(3, realistic_spec(), [0.5], [1.0])
@@ -417,6 +599,8 @@ class TestLoadWorkload:
             '{"processors": 2, "phases": [{"type": "parallel", "chunks": []}]}',
             '{"processors": 2, "phases": [{"type": "parallel", "chunks": [1, -2]}]}',
             '{"processors": 2, "phases": [{"type": "parallel", "chunks": [1], "dispatch": -1}]}',
+            '{"processors": 2, "phases": [{"type": "sequential", "duration": 1%s}]}' % ("0" * 400),
+            '{"processors": 2, "phases": [{"type": "parallel", "chunks": [-1%s]}]}' % ("0" * 400),
         ],
     )
     def test_rejects_malformed_documents(self, text):
