@@ -14,6 +14,9 @@ infeasible targets, missing files).
 Performance-valued flags take plain numbers in Gflop/s or a unit suffix:
 ``229P``, ``1E``, ``93014.6T``, ``0.5M``. ``--per-proc-flops`` for ``bounds``
 is normalized to flop/s, everything else to Gflop/s.
+
+Each subcommand imports the library layers it calls when it runs, so a call
+loads only what it uses.
 """
 
 from __future__ import annotations
@@ -25,39 +28,12 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .core import (
-    Efficiency,
-    alpha_eff_from_efficiency,
-    alpha_eff_from_speedup,
-    alpha_from_two_efficiencies,
-    alpha_from_two_timings,
-    max_speedup,
-)
-from .dataset import (
-    ChampionCriterion,
-    derive,
-    fit_semilog,
-    read_records,
-    select_champions,
-    write_records,
-    yearly_mean_efficiency,
-)
-from .errors import UnboundedError
-from .projection import (
-    ContributionBudget,
-    ScalingScenario,
-    bounds,
-    geometric_grid,
-    project_curve,
-    required_one_minus_alpha,
-    saturation_rmax,
-    whatif,
-)
-from .workload import load_workload, simulate, sweep_alpha_eff
-
 __all__ = ["run", "main"]
 
 _GFLOPS_SUFFIX = {"M": 1e-3, "G": 1.0, "T": 1e3, "P": 1e6, "E": 1e9}
+# The values of dataset.ChampionCriterion, spelled out so that building the
+# parser does not import the record layer.
+_CHAMPION_CRITERIA = ("best-rmax", "best-alpha")
 
 
 class _UsageError(Exception):
@@ -271,7 +247,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--select",
         required=True,
-        choices=tuple(c.value for c in ChampionCriterion),
+        choices=_CHAMPION_CRITERIA,
         help="champion criterion",
     )
     p.add_argument(
@@ -365,6 +341,15 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
+    from .core import (
+        alpha_eff_from_efficiency,
+        alpha_eff_from_speedup,
+        alpha_from_two_efficiencies,
+        alpha_from_two_timings,
+        max_speedup,
+    )
+    from .errors import UnboundedError
+
     modes = {
         "efficiency": args.efficiency is not None,
         "speedup": args.speedup is not None,
@@ -410,6 +395,8 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
+    from .workload import load_workload, simulate
+
     with open(args.workload, encoding="utf-8") as fh:
         spec = load_workload(fh)
     result = simulate(spec)
@@ -445,6 +432,15 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
+    from .dataset import (
+        ChampionCriterion,
+        derive,
+        fit_semilog,
+        read_records,
+        select_champions,
+        write_records,
+    )
+
     records = read_records(args.input)
     champions = select_champions(records, ChampionCriterion(args.select), top=args.top)
 
@@ -487,6 +483,8 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
+    from .dataset import read_records, yearly_mean_efficiency
+
     records = read_records(args.input)
     rows = [
         [row.year, row.mean_efficiency, row.sd_efficiency]
@@ -496,6 +494,8 @@ def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
+    from .projection import geometric_grid, project_curve
+
     from_file = args.input is not None or args.name is not None
     explicit = (
         args.one_minus_alpha is not None or args.cores is not None or args.rpeak is not None
@@ -507,6 +507,8 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     if from_file:
         if args.input is None or args.name is None:
             raise _UsageError("--input and --name go together")
+        from .dataset import derive, read_records
+
         matches = [r for r in read_records(args.input) if r.name == args.name]
         if not matches:
             raise ValueError(f"no record named {args.name!r} in {args.input}")
@@ -538,6 +540,9 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
+    from .core import alpha_eff_from_efficiency
+    from .projection import ScalingScenario, whatif
+
     base = alpha_eff_from_efficiency(args.efficiency, args.cores)
     scenario = ScalingScenario(
         base_one_minus_alpha=base.one_minus_alpha,
@@ -566,6 +571,8 @@ def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
+    from .projection import required_one_minus_alpha
+
     required = required_one_minus_alpha(args.efficiency, args.cores)
     output.scalars(
         [
@@ -577,6 +584,8 @@ def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
+    from .projection import ContributionBudget, bounds
+
     per_flops = None if args.per_proc_flops is None else args.per_proc_flops * 1e9
     budget = ContributionBudget(
         clock_hz=args.clock_hz,
@@ -611,6 +620,8 @@ def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_saturation(args: argparse.Namespace, output: _Output) -> None:
+    from .projection import saturation_rmax
+
     ceiling = saturation_rmax(args.per_proc_flops, args.one_minus_alpha)
     value: object = ceiling
     if output.is_table:
@@ -625,6 +636,8 @@ def _cmd_saturation(args: argparse.Namespace, output: _Output) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
+    from .workload import load_workload, sweep_alpha_eff
+
     with open(args.workload, encoding="utf-8") as fh:
         template = load_workload(fh)
     processors = args.processors if args.processors is not None else template.processors

@@ -75,6 +75,9 @@ def project_curve(
     Growth is homogeneous: per-core peak stays at base_rpeak / base_cores, so a
     target peak implies a core count (rounded to the nearest integer, floored
     at 1). Efficiency then follows from the serial fraction at that count.
+
+    Raises:
+        ModelError: a grid peak implies a core count beyond the float range.
     """
     _require_cores(base_cores, minimum=1)
     _require_fraction(one_minus_alpha)
@@ -83,10 +86,21 @@ def project_curve(
     points = []
     for rp in rpeak_grid:
         _require_positive(rp, "grid rpeak")
-        cores = max(1, round(base_cores * rp / base_rpeak))
+        cores = _cores_at(rp, base_cores, base_rpeak)
         eff = efficiency_from_alpha(one_minus_alpha, cores)
         points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=eff.value, rmax=eff.value * rp))
     return points
+
+
+def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
+    """Core count reaching rpeak at the base per-core peak: rounded, at least 1."""
+    cores = base_cores * rpeak / base_rpeak
+    if not math.isfinite(cores):
+        raise ModelError(
+            f"core count for rpeak {rpeak!r} overflows the float range "
+            f"(base peak {base_rpeak!r} on {base_cores} cores)"
+        )
+    return max(1, round(cores))
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,7 @@ class ScalingScenario:
     def resolved_target_cores(self) -> int:
         if self.target_cores is not None:
             return self.target_cores
-        return max(1, round(self.base_cores * self.target_rpeak / self.base_rpeak))
+        return _cores_at(self.target_rpeak, self.base_cores, self.base_rpeak)
 
     @property
     def resolved_target_rpeak(self) -> float:
@@ -148,6 +162,7 @@ def whatif(scenario: ScalingScenario) -> ScenarioResult:
     Raises:
         AlphaOverflowError: the scaled serial fraction exceeds 1, meaning the
             scenario left the model's domain.
+        ModelError: the target peak implies a core count beyond the float range.
     """
     scaled = scenario.base_one_minus_alpha * scenario.alpha_scale_factor
     if scaled > 1.0:

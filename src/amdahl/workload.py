@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Union
 
@@ -73,6 +74,11 @@ class WorkloadSpec:
             raise InvalidWorkloadError(f"processors must be an integer, got {self.processors!r}")
         if self.processors < 1:
             raise InvalidWorkloadError(f"processors must be >= 1, got {self.processors}")
+        if self.processors > sys.maxsize:  # the simulator keeps one list slot per processor
+            raise InvalidWorkloadError(
+                f"processors must be <= {sys.maxsize}, "
+                f"got a {self.processors.bit_length()}-bit integer"
+            )
         object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise InvalidWorkloadError("a workload needs at least one phase")
@@ -322,10 +328,16 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
 
     ``dispatch`` and ``collect`` default to 0 when omitted.
     """
+    text = source.read()  # outside the try: a decoding error is no long number
     try:
-        doc = json.load(source)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidWorkloadError(f"workload file is not valid JSON: {exc}") from exc
+    except ValueError:  # the only other failure: an integer longer than int() accepts
+        raise InvalidWorkloadError(
+            "a number in the workload file is too long to read "
+            f"(more than {sys.get_int_max_str_digits()} digits)"
+        ) from None
     if not isinstance(doc, dict):
         raise InvalidWorkloadError("workload file must contain a JSON object")
 

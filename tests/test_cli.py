@@ -176,6 +176,29 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: phase 1: 'duration' must be a finite number")
 
+    def test_processors_beyond_an_index_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(
+            '{"processors": 1' + "0" * 400
+            + ', "phases": [{"type": "sequential", "duration": 1}]}',
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: processors must be <= ")
+
+    def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"processors": 2, "phases": [{"type": "sequential", "duration": 1'
+            + "0" * 5000 + "}]}",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a number in the workload file is too long to read")
+        assert "set_int_max_str_digits" not in err
+
 
 class TestTimeline:
     def test_csv_round_trips_through_the_parser(self, capsys):
@@ -350,6 +373,15 @@ class TestProject:
             "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2",
         )
         assert code == 2 and "2 records" in err
+
+    def test_core_count_beyond_the_float_range_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "project", "--rpeak", "1e-320", "--cores", "10",
+            "--one-minus-alpha", "1e-6", "--rpeak-from", "1", "--rpeak-to", "1e300",
+            "--points", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: core count for rpeak 1.0 overflows the float range")
 
     def test_bad_points_value(self, capsys):
         code, _, err = cli(
@@ -552,6 +584,14 @@ class TestSweep:
         assert err == (
             "error: sweep point overhead=0.0 sequential=1e+308 overflows the time range\n"
         )
+
+    def test_processors_beyond_an_index_exit_2(self, capsys):
+        code, out, err = cli(
+            capsys, "sweep", "--workload", REALISTIC, "--processors", "100000000000000000000",
+            "--overhead", "0", "--sequential", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: processors must be <= ")
 
 
 class TestHarness:

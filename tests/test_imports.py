@@ -1,0 +1,135 @@
+"""Tests for the package's import structure: lazy exports and per-subcommand imports.
+
+Start-up is paid on every ``amdahl`` call, so ``import amdahl`` loads no
+submodule and each subcommand imports only the layers it calls. The checks
+that depend on what is already imported run in a fresh interpreter started
+with ``-S``, so nothing the site hooks import is charged to the package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import amdahl
+from amdahl import cli
+from amdahl.dataset import ChampionCriterion, fixture_path
+
+SUBMODULES = ("cli", "core", "dataset", "errors", "projection", "workload")
+
+
+def fresh_modules(script: str, *argv: str) -> list[str]:
+    """Run script in a fresh interpreter; return the words it prints to stdout."""
+    # The package is stdlib-only, so its own parent directory is enough.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(amdahl.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+RUN_CLI = """
+import io, sys
+sys.stdout = io.StringIO()
+from amdahl.cli import run
+code = run(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(code, *sys.modules)
+"""
+
+
+class TestPackageExports:
+    def test_import_loads_no_submodule(self):
+        loaded = fresh_modules("import sys, amdahl; print(*sys.modules)")
+        assert [m for m in loaded if m.startswith("amdahl.")] == []
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict[str, object] = {}
+        exec("from amdahl import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(amdahl.__all__)
+        assert len(set(amdahl.__all__)) == len(amdahl.__all__)
+
+    @pytest.mark.parametrize("name", [n for n in amdahl.__all__ if n != "__version__"])
+    def test_name_is_its_home_module_object(self, name):
+        value = getattr(amdahl, name)
+        assert value.__module__.startswith("amdahl.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+        assert vars(amdahl)[name] is value  # cached: the next lookup is a plain attribute
+
+    def test_dir_lists_all_and_submodules(self):
+        listed = dir(amdahl)
+        assert set(amdahl.__all__) <= set(listed)
+        assert set(SUBMODULES) <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_submodules_resolve_without_explicit_import(self):
+        script = (
+            "import sys, amdahl\n"
+            f"for name in {SUBMODULES!r}:\n"
+            "    print(getattr(amdahl, name) is sys.modules['amdahl.' + name])\n"
+        )
+        assert fresh_modules(script) == ["True"] * len(SUBMODULES)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError) as excinfo:
+            amdahl.no_such_name  # noqa: B018
+        assert str(excinfo.value) == "module 'amdahl' has no attribute 'no_such_name'"
+        assert not hasattr(amdahl, "GroupBy")
+
+    def test_version(self):
+        assert amdahl.__version__ == "0.1.0"
+        assert "__version__" in amdahl.__all__
+
+
+HPL = fixture_path("top500_2017_hpl.csv")
+CLASSIC = fixture_path("workload_classic.json")
+
+
+class TestSubcommandImports:
+    @pytest.mark.parametrize(
+        ("argv", "loads", "skips"),
+        [
+            (
+                ("alpha", "--efficiency", "0.5", "--cores", "8"),
+                {"amdahl.core"},
+                {"amdahl.dataset", "amdahl.workload", "amdahl.projection", "json", "statistics"},
+            ),
+            (
+                ("simulate", "--workload", CLASSIC),
+                {"amdahl.workload"},
+                {"amdahl.dataset", "amdahl.projection"},
+            ),
+            (
+                ("timeline", "--input", HPL, "--select", "best-alpha"),
+                {"amdahl.dataset"},
+                {"amdahl.workload", "amdahl.projection"},
+            ),
+            (
+                ("project", "--one-minus-alpha", "1e-6", "--cores", "10", "--rpeak", "1",
+                 "--rpeak-from", "1", "--rpeak-to", "10", "--points", "2"),
+                {"amdahl.projection"},
+                {"amdahl.dataset", "amdahl.workload"},
+            ),
+            (
+                ("--help",),
+                set(),
+                {"amdahl.core", "amdahl.dataset", "amdahl.projection", "amdahl.workload"},
+            ),
+        ],
+        ids=["alpha", "simulate", "timeline", "project-explicit", "help"],
+    )
+    def test_subcommand_loads_only_its_layers(self, argv, loads, skips):
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert loads <= set(loaded)
+        assert not skips & set(loaded)
+
+    def test_select_choices_are_the_champion_criteria(self):
+        assert cli._CHAMPION_CRITERIA == tuple(c.value for c in ChampionCriterion)

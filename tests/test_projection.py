@@ -99,6 +99,15 @@ class TestProjectCurve:
             assert point.cores * oma > 100.0
             assert point.rmax == pytest.approx(ceiling, rel=1e-2)
 
+    def test_core_count_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(ModelError, match=r"^core count for rpeak 1\.0 overflows the float"):
+            project_curve(10, 1e-320, 1e-6, [1.0, 1e300])
+        with pytest.raises(ModelError, match="overflows the float range"):
+            project_curve(10, 1.0, 1e-6, [1e300, 1.7e308])
+        # A count that is huge but finite is still a count.
+        (point,) = project_curve(10, 1.0, 1e-6, [1e300])
+        assert point.cores == round(1e301)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             project_curve(0, 100.0, 0.01, [1.0])
@@ -230,6 +239,13 @@ class TestWhatif:
             target_cores=cores * 4, target_rpeak=1000.0,
         )
         assert whatif(relaxed).rmax >= whatif(reference).rmax - 1e-9
+
+    def test_derived_core_count_beyond_the_float_range_is_rejected(self):
+        scenario = ScalingScenario(
+            base_one_minus_alpha=1e-6, base_cores=10, base_rpeak=1e-320, target_rpeak=1.0
+        )
+        with pytest.raises(ModelError, match="overflows the float range"):
+            whatif(scenario)
 
 
 class TestRequiredAlpha:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -205,6 +206,13 @@ class TestWorkloadValidation:
                 WorkloadSpec(processors=2, phases=(phase,))
         spec = WorkloadSpec(processors=2, phases=(SequentialPhase(10**300),))
         assert simulate(spec).serial_time == 1e300
+
+    def test_processors_beyond_an_index_are_rejected(self):
+        # Only counts past sys.maxsize: smaller ones would really be allocated.
+        for processors in (sys.maxsize + 1, 10**400):
+            with pytest.raises(InvalidWorkloadError, match="^processors must be <= "):
+                WorkloadSpec(processors=processors, phases=(SequentialPhase(1.0),))
+        assert WorkloadSpec(sys.maxsize, (SequentialPhase(1.0),)).processors == sys.maxsize
 
 
 @st.composite
@@ -484,6 +492,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [10**400])
 
+    def test_processors_beyond_an_index_are_rejected(self):
+        with pytest.raises(InvalidWorkloadError, match="^processors must be <= "):
+            sweep_alpha_eff(10**20, realistic_spec(), [0.0], [1.0])
+
     def test_point_beyond_the_float_range_is_rejected(self):
         with pytest.raises(
             InvalidWorkloadError,
@@ -605,4 +617,18 @@ class TestLoadWorkload:
     )
     def test_rejects_malformed_documents(self, text):
         with pytest.raises(InvalidWorkloadError):
+            load_workload(io.StringIO(text))
+
+    def test_processors_beyond_an_index_are_rejected(self):
+        text = '{"processors": 1%s, "phases": [{"type": "sequential", "duration": 1}]}' % (
+            "0" * 400
+        )
+        with pytest.raises(InvalidWorkloadError, match="^processors must be <= "):
+            load_workload(io.StringIO(text))
+
+    def test_integer_too_long_to_read_is_rejected(self):
+        text = '{"processors": 2, "phases": [{"type": "sequential", "duration": 1%s}]}' % (
+            "0" * 5000
+        )
+        with pytest.raises(InvalidWorkloadError, match="^a number in the workload file"):
             load_workload(io.StringIO(text))
