@@ -25,7 +25,6 @@ import argparse
 import csv
 import shlex
 import sys
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 __all__ = ["run", "main"]
@@ -121,14 +120,14 @@ def _human_gflops(gflops: float) -> str:
     return f"{gflops:.4g} Gflop/s"
 
 
-@dataclass
 class _Output:
     """Shared rendering: scalar blocks and row tables in table or csv mode."""
 
-    fmt: str
-    precision: int
-    command_line: str
-    out: IO[str]
+    def __init__(self, fmt: str, precision: int, command_line: str, out: IO[str]) -> None:
+        self.fmt = fmt
+        self.precision = precision
+        self.command_line = command_line
+        self.out = out
 
     @property
     def is_table(self) -> bool:

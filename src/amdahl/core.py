@@ -23,7 +23,7 @@ even where 1 - E is below the resolution of a double next to 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import (
@@ -65,22 +65,30 @@ class EstimationMethod(Enum):
     ASSUMED = "assumed"
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class _Checked:
+    """Named-tuple mixin: ``_make``, and so ``_replace``, build through the checking ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class AlphaEstimate(_Checked, namedtuple("AlphaEstimate", "one_minus_alpha method cores")):
     """An estimated serial fraction ``1 - alpha_eff`` with its provenance.
 
     ``cores`` is the processor count the estimate was derived at, when a
     single count applies (two-point estimators leave it None).
     """
 
-    one_minus_alpha: float
-    method: EstimationMethod
-    cores: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_fraction(self.one_minus_alpha)
-        if self.cores is not None and self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores!r}")
+    def __new__(cls, one_minus_alpha: float, method: EstimationMethod, cores: int | None = None):
+        _require_fraction(one_minus_alpha)
+        if cores is not None and cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores!r}")
+        return tuple.__new__(cls, (one_minus_alpha, method, cores))
 
     @property
     def alpha(self) -> float:
@@ -88,19 +96,18 @@ class AlphaEstimate:
         return 1.0 - self.one_minus_alpha
 
 
-@dataclass(frozen=True)
-class Speedup:
+class Speedup(_Checked, namedtuple("Speedup", "value")):
     """A measured or modeled wall-clock speedup (dimensionless, > 0)."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value <= 0.0:
-            raise ValueError(f"speedup must be a finite positive number, got {self.value!r}")
+    def __new__(cls, value: float):
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"speedup must be a finite positive number, got {value!r}")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True)
-class Efficiency:
+class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
     """Parallel efficiency E = S / k, in (0, 1].
 
     ``inverse_excess`` is 1/E - 1. For a measured efficiency it is derived
@@ -110,24 +117,24 @@ class Efficiency:
     within a few ulp of 1.
     """
 
-    value: float
-    inverse_excess: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value <= 0.0:
-            raise ValueError(f"efficiency must be a finite positive number, got {self.value!r}")
-        if self.value > 1.0:
+    def __new__(cls, value: float, inverse_excess: float | None = None):
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"efficiency must be a finite positive number, got {value!r}")
+        if value > 1.0:
             raise SuperlinearError(
-                f"superlinear measurement outside model: efficiency {self.value!r} exceeds 1"
+                f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
-        if self.inverse_excess is None:
-            object.__setattr__(self, "inverse_excess", (1.0 - self.value) / self.value)
-        elif self.inverse_excess < 0.0 or not math.isfinite(self.inverse_excess):
-            raise ValueError(f"inverse_excess must be >= 0, got {self.inverse_excess!r}")
-        elif abs(self.value * (1.0 + self.inverse_excess) - 1.0) > 1e-9:
+        if inverse_excess is None:
+            inverse_excess = (1.0 - value) / value
+        elif inverse_excess < 0.0 or not math.isfinite(inverse_excess):
+            raise ValueError(f"inverse_excess must be >= 0, got {inverse_excess!r}")
+        elif abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
             raise ValueError(
-                f"inverse_excess {self.inverse_excess!r} is inconsistent with value {self.value!r}"
+                f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
             )
+        return tuple.__new__(cls, (value, inverse_excess))
 
 
 def _coerce_efficiency(e: float | Efficiency) -> Efficiency:

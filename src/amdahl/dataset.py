@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .core import Efficiency, _require_positive, alpha_eff_from_efficiency
+from .core import Efficiency, _Checked, _require_positive, alpha_eff_from_efficiency
 from .errors import (
     DegenerateDataError,
     MalformedRowError,
@@ -69,20 +69,15 @@ class ChampionCriterion(Enum):
     BEST_ALPHA = "best-alpha"
 
 
-@dataclass(frozen=True)
-class MachineRecord:
+class MachineRecord(
+    _Checked, namedtuple("MachineRecord", "year rank name arch cores rmax rpeak benchmark")
+):
     """One published measurement of one machine. rmax and rpeak are in Gflop/s."""
 
-    year: int
-    rank: int
-    name: str
-    arch: Architecture
-    cores: int
-    rmax: float
-    rpeak: float
-    benchmark: Benchmark
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.cores < 1:
@@ -93,10 +88,10 @@ class MachineRecord:
             raise ValueError(
                 f"rmax {self.rmax!r} exceeds rpeak {self.rpeak!r}, which would be superlinear"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class DerivedMetrics:
+class DerivedMetrics(NamedTuple):
     """Parallel efficiency and effective serial fraction of one record."""
 
     efficiency: Efficiency
@@ -241,8 +236,7 @@ def select_champions(
     return [min(cohort, key=key) for cohort in _year_cohorts(records, top)]
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """Least-squares fit of log10(y) against x."""
 
     slope: float

@@ -11,11 +11,12 @@ Throughput values are in Gflop/s throughout, matching the record files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .core import (
     Efficiency,
+    _Checked,
     _require_cores,
     _require_fraction,
     _require_nonnegative,
@@ -103,8 +104,11 @@ def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
     return max(1, round(cores))
 
 
-@dataclass(frozen=True)
-class ScalingScenario:
+class ScalingScenario(_Checked, namedtuple(
+    "ScalingScenario",
+    "base_one_minus_alpha base_cores alpha_scale_factor base_rpeak target_cores target_rpeak",
+    defaults=(1.0, None, None, None),
+)):
     """A hypothetical upgrade: new size and peak, optionally a new code base.
 
     Either target may be omitted; the missing one is derived assuming the
@@ -114,14 +118,10 @@ class ScalingScenario:
     where more of the machine is spent on coordination.
     """
 
-    base_one_minus_alpha: float
-    base_cores: int
-    alpha_scale_factor: float = 1.0
-    base_rpeak: float | None = None
-    target_cores: int | None = None
-    target_rpeak: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_fraction(self.base_one_minus_alpha, "base_one_minus_alpha")
         _require_cores(self.base_cores, minimum=1)
         _require_nonnegative(self.alpha_scale_factor, "alpha_scale_factor")
@@ -136,6 +136,7 @@ class ScalingScenario:
             raise ValueError(
                 "base_rpeak is required to derive the missing target from the per-core peak"
             )
+        return self
 
     @property
     def resolved_target_cores(self) -> int:
@@ -147,7 +148,10 @@ class ScalingScenario:
     def resolved_target_rpeak(self) -> float:
         if self.target_rpeak is not None:
             return self.target_rpeak
-        return self.target_cores * (self.base_rpeak / self.base_cores)
+        rpeak = self.target_cores * (self.base_rpeak / self.base_cores)
+        if not math.isfinite(rpeak):
+            raise ModelError(f"target peak of {self.target_cores} cores overflows the float range")
+        return rpeak
 
 
 class ScenarioResult(NamedTuple):
@@ -215,8 +219,12 @@ def saturation_rmax(per_processor_rpeak: float, one_minus_alpha: float) -> float
     return ceiling
 
 
-@dataclass(frozen=True)
-class ContributionBudget:
+class ContributionBudget(_Checked, namedtuple(
+    "ContributionBudget",
+    "clock_hz total_time_s hardware_cycles os_cycles software_cycles physical_size_m "
+    "per_processor_flops",
+    defaults=(0.0, 0.0, 0.0, 0.0, None),
+)):
     """Cycle budget of everything that cannot parallelize, for a bound on 1 - alpha.
 
     Cycle counts are per run of total_time_s on a clock_hz machine. The
@@ -224,15 +232,10 @@ class ContributionBudget:
     of light into cycles; it is the one contribution no engineering removes.
     """
 
-    clock_hz: float
-    total_time_s: float
-    hardware_cycles: float = 0.0
-    os_cycles: float = 0.0
-    software_cycles: float = 0.0
-    physical_size_m: float = 0.0
-    per_processor_flops: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(self.clock_hz, "clock_hz")
         _require_positive(self.total_time_s, "total_time_s")
         _require_nonnegative(self.hardware_cycles, "hardware_cycles")
@@ -241,10 +244,10 @@ class ContributionBudget:
         _require_nonnegative(self.physical_size_m, "physical_size_m")
         if self.per_processor_flops is not None:
             _require_positive(self.per_processor_flops, "per_processor_flops")
+        return self
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(NamedTuple):
     total_cycles: float
     propagation_cycles: float
     contributed_cycles: float
@@ -265,6 +268,7 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
         ZeroBudgetError: every contribution is zero, no bound follows.
         ValueError: the run has no representable cycle count, or the
             contributions exceed it (a serial fraction above 1).
+        ModelError: the contributions or a bound lie beyond the float range.
     """
     total_cycles = budget.clock_hz * budget.total_time_s
     _require_positive(total_cycles, "total_cycles")
@@ -277,18 +281,20 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
         "software": budget.software_cycles,
         "propagation": propagation_cycles,
     }
-    contributed = math.fsum(parts.values())
+    try:
+        contributed = math.fsum(parts.values())
+    except OverflowError:  # fsum raises where a plain sum would reach inf
+        raise ModelError(f"serial contributions overflow the float range: {parts}") from None
     if contributed == 0.0:
         raise ZeroBudgetError("all serial contributions are zero, no bound follows")
 
     min_oma = contributed / total_cycles
     # A budget that claims more serial cycles than the run has is not a bound.
     _require_fraction(min_oma, "min_one_minus_alpha")
-    saturation = (
-        None
-        if budget.per_processor_flops is None
-        else budget.per_processor_flops / min_oma
-    )
+    if min_oma == 0.0 or math.isinf(1.0 / min_oma):
+        raise ModelError(f"min_one_minus_alpha {min_oma!r} is too small for a finite speedup bound")
+    flops = budget.per_processor_flops
+    saturation = None if flops is None else saturation_rmax(flops, min_oma)
     return BoundsResult(
         total_cycles=total_cycles,
         propagation_cycles=propagation_cycles,

@@ -27,10 +27,10 @@ import heapq
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import IO, Iterable, NamedTuple, Union
 
-from .core import AlphaEstimate, EstimationMethod, Speedup, alpha_eff_from_speedup
+from .core import AlphaEstimate, EstimationMethod, Speedup, _Checked, alpha_eff_from_speedup
 from .errors import InvalidTemplateError, InvalidWorkloadError
 
 __all__ = [
@@ -47,13 +47,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SequentialPhase:
+class SequentialPhase(NamedTuple):
     duration: float
 
 
-@dataclass(frozen=True)
-class ParallelPhase:
+class ParallelPhase(NamedTuple):
     chunks: tuple[float, ...]
     dispatch_overhead: float = 0.0
     collect_overhead: float = 0.0
@@ -62,28 +60,27 @@ class ParallelPhase:
 Phase = Union[SequentialPhase, ParallelPhase]
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
     """A processor count plus the ordered phases to run on it."""
 
-    processors: int
-    phases: tuple[Phase, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.processors, int) or isinstance(self.processors, bool):
-            raise InvalidWorkloadError(f"processors must be an integer, got {self.processors!r}")
-        if self.processors < 1:
-            raise InvalidWorkloadError(f"processors must be >= 1, got {self.processors}")
-        if self.processors > sys.maxsize:  # the simulator keeps one list slot per processor
+    def __new__(cls, processors: int, phases: Iterable[Phase]):
+        if not isinstance(processors, int) or isinstance(processors, bool):
+            raise InvalidWorkloadError(f"processors must be an integer, got {processors!r}")
+        if processors < 1:
+            raise InvalidWorkloadError(f"processors must be >= 1, got {processors}")
+        if processors > sys.maxsize:  # the simulator keeps one list slot per processor
             raise InvalidWorkloadError(
                 f"processors must be <= {sys.maxsize}, "
-                f"got a {self.processors.bit_length()}-bit integer"
+                f"got a {processors.bit_length()}-bit integer"
             )
-        object.__setattr__(self, "phases", tuple(self.phases))
-        if not self.phases:
+        phases = tuple(phases)
+        if not phases:
             raise InvalidWorkloadError("a workload needs at least one phase")
-        for i, phase in enumerate(self.phases, 1):
+        for i, phase in enumerate(phases, 1):
             _validate_phase(phase, i)
+        return tuple.__new__(cls, (processors, phases))
 
 
 def _validate_phase(phase: Phase, index: int) -> None:
@@ -141,8 +138,7 @@ class TimelineSegment(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     """Everything measured from one simulated run.
 
     ``serial_time`` excludes dispatch/collect overheads; ``parallel_time`` is
@@ -341,11 +337,8 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
     if not isinstance(doc, dict):
         raise InvalidWorkloadError("workload file must contain a JSON object")
 
-    processors = doc.get("processors")
-    if not isinstance(processors, int) or isinstance(processors, bool):
-        raise InvalidWorkloadError(f"'processors' must be an integer, got {processors!r}")
     raw_phases = doc.get("phases")
-    if not isinstance(raw_phases, list) or not raw_phases:
+    if not isinstance(raw_phases, list):
         raise InvalidWorkloadError("'phases' must be a non-empty array")
 
     phases: list[Phase] = []
@@ -374,7 +367,7 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
             raise InvalidWorkloadError(
                 f"phase {i}: 'type' must be 'sequential' or 'parallel', got {kind!r}"
             )
-    return WorkloadSpec(processors, tuple(phases))
+    return WorkloadSpec(doc.get("processors"), phases)
 
 
 def _number(value: object, what: str) -> float:

@@ -492,6 +492,23 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err.startswith("error: total_cycles")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--clock-hz", "0.5", "--runtime-s", "1e30", "--os-cycles", "1e-300",
+             "--per-proc-flops", "1P"),
+            ("--clock-hz", "3", "--runtime-s", "0.5", "--hw-cycles", "1e-320",
+             "--per-proc-flops", "1E"),
+            ("--clock-hz", "1", "--runtime-s", "1e-300", "--hw-cycles", "1e308",
+             "--os-cycles", "1.7e308"),
+        ],
+        ids=["fraction-underflows", "speedup-overflows", "sum-overflows"],
+    )
+    def test_bounds_beyond_the_float_range_exit_2(self, capsys, argv):
+        code, out, err = cli(capsys, "bounds", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSaturation:
     def test_reference_value(self, capsys):

@@ -131,5 +131,31 @@ class TestSubcommandImports:
         assert loads <= set(loaded)
         assert not skips & set(loaded)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--efficiency", "0.5", "--cores", "8"),
+            ("simulate", "--workload", CLASSIC),
+            ("timeline", "--input", HPL, "--select", "best-alpha"),
+            ("mean-efficiency", "--input", HPL, "--top", "5"),
+            ("project", "--input", HPL, "--name", "Titan", "--rpeak-from", "1P",
+             "--rpeak-to", "1E", "--points", "3"),
+            ("whatif", "--efficiency", "0.7", "--cores", "10", "--new-cores", "20",
+             "--rpeak", "1P"),
+            ("required-alpha", "--efficiency", "0.5", "--cores", "8"),
+            ("bounds", "--clock-hz", "1e9", "--runtime-s", "10", "--hw-cycles", "100",
+             "--per-proc-flops", "1T"),
+            ("saturation", "--per-proc-flops", "1T", "--one-minus-alpha", "1e-6"),
+            ("sweep", "--workload", CLASSIC, "--overhead", "0,1", "--sequential", "0,1"),
+            ("--help",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_call_loads_dataclasses_or_inspect(self, argv):
+        # Value types are named tuples, so no call pays to import dataclasses and inspect.
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert not {"dataclasses", "inspect"} & set(loaded)
+
     def test_select_choices_are_the_champion_criteria(self):
         assert cli._CHAMPION_CRITERIA == tuple(c.value for c in ChampionCriterion)

@@ -247,6 +247,13 @@ class TestWhatif:
         with pytest.raises(ModelError, match="overflows the float range"):
             whatif(scenario)
 
+    def test_derived_target_peak_beyond_the_float_range_is_rejected(self):
+        scenario = ScalingScenario(1e-6, 1, base_rpeak=1e300, target_cores=10**10)
+        with pytest.raises(ModelError, match="target peak of 10000000000 cores overflows"):
+            scenario.resolved_target_rpeak
+        with pytest.raises(ModelError):
+            whatif(scenario)
+
 
 class TestRequiredAlpha:
     def test_unit_efficiency_needs_no_serial_work(self):
@@ -354,6 +361,29 @@ class TestBounds:
         budget = ContributionBudget(clock_hz=1e-320, total_time_s=1e-320, hardware_cycles=1.0)
         with pytest.raises(ValueError, match="total_cycles must be finite and > 0"):
             bounds(budget)
+
+    @pytest.mark.parametrize(
+        ("budget", "message"),
+        [
+            # the serial fraction underflows to 0
+            (dict(clock_hz=0.5, total_time_s=1e30, os_cycles=1e-300, per_processor_flops=1e15),
+             "min_one_minus_alpha 0.0 is too small"),
+            # a subnormal fraction whose reciprocal, the speedup bound, overflows
+            (dict(clock_hz=3.0, total_time_s=0.5, hardware_cycles=1e-320),
+             "is too small for a finite speedup bound"),
+            # a finite speedup bound whose throughput ceiling overflows
+            (dict(clock_hz=1.0, total_time_s=1.0, hardware_cycles=1e-300,
+                  per_processor_flops=1e18),
+             "saturation throughput 1e\\+18 / 1e-300 overflows"),
+            # contributions whose exact sum lies beyond the float range
+            (dict(clock_hz=1.0, total_time_s=1e-300, hardware_cycles=1e308, os_cycles=1.7e308),
+             "serial contributions overflow the float range"),
+        ],
+        ids=["fraction-underflows", "speedup-overflows", "throughput-overflows", "sum-overflows"],
+    )
+    def test_bounds_beyond_the_float_range_are_rejected(self, budget, message):
+        with pytest.raises(ModelError, match=message):
+            bounds(ContributionBudget(**budget))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

@@ -619,6 +619,25 @@ class TestLoadWorkload:
         with pytest.raises(InvalidWorkloadError):
             load_workload(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        ("doc", "message"),
+        [
+            ({"processors": "4", "phases": [{"type": "sequential", "duration": 1}]},
+             "processors must be an integer, got '4'"),
+            ({"phases": [{"type": "sequential", "duration": 1}]},
+             "processors must be an integer, got None"),
+            ({"processors": 2, "phases": []}, "a workload needs at least one phase"),
+            # the document's shape is read before the spec's rules apply
+            ({"processors": "4", "phases": [{"type": "mystery"}]},
+             "phase 1: 'type' must be 'sequential' or 'parallel', got 'mystery'"),
+        ],
+        ids=["processors-string", "processors-missing", "no-phases", "phase-before-processors"],
+    )
+    def test_spec_rules_are_reported_by_the_spec(self, doc, message):
+        with pytest.raises(InvalidWorkloadError) as excinfo:
+            load_workload(io.StringIO(json.dumps(doc)))
+        assert str(excinfo.value) == message
+
     def test_processors_beyond_an_index_are_rejected(self):
         text = '{"processors": 1%s, "phases": [{"type": "sequential", "duration": 1}]}' % (
             "0" * 400
