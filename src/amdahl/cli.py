@@ -15,8 +15,10 @@ Performance-valued flags take plain numbers in Gflop/s or a unit suffix:
 ``229P``, ``1E``, ``93014.6T``, ``0.5M``. ``--per-proc-flops`` for ``bounds``
 is normalized to flop/s, everything else to Gflop/s.
 
-Each subcommand imports the library layers it calls when it runs, so a call
-loads only what it uses.
+Each subcommand is declared once, on its handler: ``@_command`` records its
+name, help line and arguments, and the parser is built from those records.
+Each handler imports the library layers it calls when it runs, so a call loads
+only what it uses.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import argparse
 import csv
 import shlex
 import sys
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 __all__ = ["run", "main"]
 
@@ -113,13 +115,6 @@ def _ratio_list(text: str) -> list[float]:
     return values
 
 
-def _human_gflops(gflops: float) -> str:
-    for mult, unit in ((1e9, "exaFLOPS"), (1e6, "Pflop/s"), (1e3, "Tflop/s")):
-        if abs(gflops) >= mult:
-            return f"{gflops / mult:.4g} {unit}"
-    return f"{gflops:.4g} Gflop/s"
-
-
 class _Output:
     """Shared rendering: scalar blocks and row tables in table or csv mode."""
 
@@ -141,13 +136,21 @@ class _Output:
     def cell(self, value: object) -> str:
         if value is None:
             return "n/a" if self.is_table else ""
-        if isinstance(value, bool):
-            return str(value)
-        if isinstance(value, int):
-            return str(value)
         if isinstance(value, float):
             return self.number(value)
         return str(value)
+
+    def rate(self, value: float | None, unit: str = "Gflop/s") -> object:
+        """A rate in Gflop/s or flop/s; tables add it in the largest fitting prefix."""
+        if not self.is_table or value is None:
+            return value
+        gflops = value / 1e9 if unit == "flop/s" else value
+        human = f"{gflops:.4g} Gflop/s"
+        for mult, prefixed in ((1e9, "exaFLOPS"), (1e6, "Pflop/s"), (1e3, "Tflop/s")):
+            if abs(gflops) >= mult:
+                human = f"{gflops / mult:.4g} {prefixed}"
+                break
+        return f"{self.number(value)} {unit} ({human})"
 
     def comment(self, text: str) -> None:
         self.out.write(f"# {text}\n")
@@ -191,6 +194,26 @@ class _Output:
             writer.writerows(text_rows)
 
 
+# Subcommand name -> (help line, arguments, handler), filled by @_command in the
+# order the handlers are defined, which is the order `amdahl --help` lists them.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Callable]] = {}
+
+
+def _arg(flag: str, **options: object) -> tuple[str, dict]:
+    """One ``add_argument(flag, **options)`` call of a subcommand's parser."""
+    return flag, options
+
+
+def _command(name: str, summary: str, *arguments: tuple[str, dict]) -> Callable:
+    """Declare a subcommand on the handler that runs it."""
+
+    def register(handler: Callable) -> Callable:
+        _COMMANDS[name] = (summary, arguments, handler)
+        return handler
+
+    return register
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -214,131 +237,26 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     parser.add_argument("--precision", type=_precision, default=4)
     sub = parser.add_subparsers(dest="command", metavar="<command>", required=True)
-
-    p = sub.add_parser(
-        "alpha",
-        parents=[common],
-        help="estimate the effective serial fraction from measurements",
-    )
-    p.add_argument("--efficiency", type=float, help="measured efficiency in (0, 1]")
-    p.add_argument("--speedup", type=float, help="measured speedup")
-    p.add_argument("--cores", type=_positive_int, help="processor count of the measurement")
-    p.add_argument("--e1", type=float, help="first efficiency of a two-point estimate")
-    p.add_argument("--e2", type=float, help="second efficiency of a two-point estimate")
-    p.add_argument("--t1", type=float, help="first runtime of a two-timing estimate")
-    p.add_argument("--t2", type=float, help="second runtime of a two-timing estimate")
-    p.add_argument("--k1", type=_positive_int, help="cores of the first point")
-    p.add_argument("--k2", type=_positive_int, help="cores of the second point")
-
-    p = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="run a sequential/parallel workload through the timeline scheduler",
-    )
-    p.add_argument("--workload", required=True, help="workload file (JSON)")
-
-    p = sub.add_parser(
-        "timeline",
-        parents=[common],
-        help="per-year champion records with derived scaling metrics and a trend fit",
-    )
-    p.add_argument("--input", required=True, help="record CSV")
-    p.add_argument(
-        "--select",
-        required=True,
-        choices=_CHAMPION_CRITERIA,
-        help="champion criterion",
-    )
-    p.add_argument(
-        "--top",
-        type=_positive_int,
-        help="only consider each year's N best-ranked records",
-    )
-
-    p = sub.add_parser(
-        "mean-efficiency",
-        parents=[common],
-        help="per-year mean and standard deviation of efficiency over top-ranked records",
-    )
-    p.add_argument("--input", required=True, help="record CSV")
-    p.add_argument("--top", required=True, type=_positive_int, help="cohort size per year")
-
-    p = sub.add_parser(
-        "project",
-        parents=[common],
-        help="efficiency and payload performance along a peak-performance sweep",
-    )
-    p.add_argument("--input", help="record CSV to take the base machine from")
-    p.add_argument("--name", help="machine name inside --input")
-    p.add_argument("--one-minus-alpha", type=float, help="explicit serial fraction")
-    p.add_argument("--cores", type=_positive_int, help="explicit base core count")
-    p.add_argument("--rpeak", type=_performance, help="explicit base peak, Gflop/s or suffixed")
-    p.add_argument("--rpeak-from", required=True, type=_performance, help="grid start")
-    p.add_argument("--rpeak-to", required=True, type=_performance, help="grid end")
-    p.add_argument("--points", required=True, type=_grid_points, help="grid size")
-
-    p = sub.add_parser(
-        "whatif",
-        parents=[common],
-        help="rescale a measured machine to a new size, optionally degrading the code",
-    )
-    p.add_argument("--efficiency", required=True, type=float, help="measured base efficiency")
-    p.add_argument("--cores", required=True, type=_positive_int, help="base core count")
-    p.add_argument("--new-cores", required=True, type=_positive_int, help="target core count")
-    p.add_argument("--rpeak", required=True, type=_performance, help="target peak")
-    p.add_argument(
-        "--alpha-scale",
-        type=_nonnegative_float,
-        default=1.0,
-        help="factor applied to the serial fraction (default 1)",
-    )
-
-    p = sub.add_parser(
-        "required-alpha",
-        parents=[common],
-        help="serial fraction needed to hold an efficiency at a core count",
-    )
-    p.add_argument("--efficiency", required=True, type=float)
-    p.add_argument("--cores", required=True, type=_positive_int)
-
-    p = sub.add_parser(
-        "bounds",
-        parents=[common],
-        help="absolute limits implied by a budget of inherently serial cycles",
-    )
-    p.add_argument("--clock-hz", required=True, type=float)
-    p.add_argument("--runtime-s", required=True, type=float)
-    p.add_argument("--hw-cycles", type=_nonnegative_float, default=0.0)
-    p.add_argument("--os-cycles", type=_nonnegative_float, default=0.0)
-    p.add_argument("--sw-cycles", type=_nonnegative_float, default=0.0)
-    p.add_argument("--size-m", type=_nonnegative_float, default=0.0)
-    p.add_argument(
-        "--per-proc-flops",
-        type=_performance,
-        help="single-processor rate; suffixed values are Gflop/s-based",
-    )
-
-    p = sub.add_parser(
-        "saturation",
-        parents=[common],
-        help="payload-performance ceiling of unbounded growth",
-    )
-    p.add_argument("--per-proc-flops", required=True, type=_performance)
-    p.add_argument("--one-minus-alpha", required=True, type=float)
-
-    p = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="grid of effective parallel fractions over overhead and sequential ratios",
-    )
-    p.add_argument("--workload", required=True, help="template workload file (JSON)")
-    p.add_argument("--processors", type=_positive_int, help="override the template's count")
-    p.add_argument("--overhead", required=True, type=_ratio_list, help="comma-separated ratios")
-    p.add_argument("--sequential", required=True, type=_ratio_list, help="comma-separated ratios")
-
+    for name, (summary, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
+@_command(
+    "alpha",
+    "estimate the effective serial fraction from measurements",
+    _arg("--efficiency", type=float, help="measured efficiency in (0, 1]"),
+    _arg("--speedup", type=float, help="measured speedup"),
+    _arg("--cores", type=_positive_int, help="processor count of the measurement"),
+    _arg("--e1", type=float, help="first efficiency of a two-point estimate"),
+    _arg("--e2", type=float, help="second efficiency of a two-point estimate"),
+    _arg("--t1", type=float, help="first runtime of a two-timing estimate"),
+    _arg("--t2", type=float, help="second runtime of a two-timing estimate"),
+    _arg("--k1", type=_positive_int, help="cores of the first point"),
+    _arg("--k2", type=_positive_int, help="cores of the second point"),
+)
 def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
     from .core import (
         alpha_eff_from_efficiency,
@@ -393,6 +311,11 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
     )
 
 
+@_command(
+    "simulate",
+    "run a sequential/parallel workload through the timeline scheduler",
+    _arg("--workload", required=True, help="workload file (JSON)"),
+)
 def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
     from .workload import load_workload, simulate
 
@@ -430,57 +353,59 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
         output.table(("processor", "start", "end", "label"), timeline_rows, comments=comments)
 
 
+@_command(
+    "timeline",
+    "per-year champion records with derived scaling metrics and a trend fit",
+    _arg("--input", required=True, help="record CSV"),
+    _arg("--select", required=True, choices=_CHAMPION_CRITERIA, help="champion criterion"),
+    _arg("--top", type=_positive_int, help="only consider each year's N best-ranked records"),
+)
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
     from .dataset import (
+        _HEADER,
         ChampionCriterion,
         derive,
         fit_semilog,
         read_records,
         select_champions,
-        write_records,
     )
 
     records = read_records(args.input)
-    champions = select_champions(records, ChampionCriterion(args.select), top=args.top)
-
-    fit = None
-    points = [(float(r.year), derive(r).one_minus_alpha_eff) for r in champions]
-    if len({x for x, _ in points}) >= 2:
-        try:
-            fit = fit_semilog(points)
-        except ValueError:
-            fit = None
-
-    if output.is_table:
-        headers = (
-            "year", "rank", "name", "arch", "cores",
-            "rmax_gflops", "rpeak_gflops", "benchmark", "efficiency", "one_minus_alpha_eff",
+    rows = []
+    for r in select_champions(records, ChampionCriterion(args.select), top=args.top):
+        m = derive(r)
+        rows.append(
+            [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak,
+             r.benchmark.value, m.efficiency.value, m.one_minus_alpha_eff]
         )
-        rows = []
-        for r in champions:
-            m = derive(r)
-            rows.append(
-                [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak,
-                 r.benchmark.value, m.efficiency.value, m.one_minus_alpha_eff]
-            )
-        output.table(headers, rows)
-        if fit is not None:
-            output.out.write(
-                "\nfit of log10(one_minus_alpha_eff) on year: "
-                f"slope {output.number(fit.slope)}, intercept {output.number(fit.intercept)}, "
-                f"r_squared {output.number(fit.r_squared)}, n {fit.n}\n"
-            )
-    else:
-        output.comment(output.command_line)
-        if fit is not None:
-            output.comment(
-                "fit log10(one_minus_alpha_eff) ~ year: "
-                f"slope={fit.slope!r} intercept={fit.intercept!r} "
-                f"r_squared={fit.r_squared!r} n={fit.n}"
-            )
-        write_records(champions, output.out, derived=True)
+    fit = None
+    if len({row[0] for row in rows}) >= 2:
+        try:
+            fit = fit_semilog([(float(row[0]), row[-1]) for row in rows])
+        except ValueError:
+            pass
+    comments = []
+    if fit is not None:
+        comments.append(
+            "fit log10(one_minus_alpha_eff) ~ year: "
+            f"slope={fit.slope!r} intercept={fit.intercept!r} "
+            f"r_squared={fit.r_squared!r} n={fit.n}"
+        )
+    output.table(_HEADER + ("efficiency", "one_minus_alpha_eff"), rows, comments=comments)
+    if fit is not None and output.is_table:
+        output.out.write(
+            "\nfit of log10(one_minus_alpha_eff) on year: "
+            f"slope {output.number(fit.slope)}, intercept {output.number(fit.intercept)}, "
+            f"r_squared {output.number(fit.r_squared)}, n {fit.n}\n"
+        )
 
 
+@_command(
+    "mean-efficiency",
+    "per-year mean and standard deviation of efficiency over top-ranked records",
+    _arg("--input", required=True, help="record CSV"),
+    _arg("--top", required=True, type=_positive_int, help="cohort size per year"),
+)
 def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
     from .dataset import read_records, yearly_mean_efficiency
 
@@ -492,6 +417,18 @@ def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
     output.table(("year", "mean_efficiency", "sd_efficiency"), rows)
 
 
+@_command(
+    "project",
+    "efficiency and payload performance along a peak-performance sweep",
+    _arg("--input", help="record CSV to take the base machine from"),
+    _arg("--name", help="machine name inside --input"),
+    _arg("--one-minus-alpha", type=float, help="explicit serial fraction"),
+    _arg("--cores", type=_positive_int, help="explicit base core count"),
+    _arg("--rpeak", type=_performance, help="explicit base peak, Gflop/s or suffixed"),
+    _arg("--rpeak-from", required=True, type=_performance, help="grid start"),
+    _arg("--rpeak-to", required=True, type=_performance, help="grid end"),
+    _arg("--points", required=True, type=_grid_points, help="grid size"),
+)
 def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     from .projection import geometric_grid, project_curve
 
@@ -538,6 +475,20 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     )
 
 
+@_command(
+    "whatif",
+    "rescale a measured machine to a new size, optionally degrading the code",
+    _arg("--efficiency", required=True, type=float, help="measured base efficiency"),
+    _arg("--cores", required=True, type=_positive_int, help="base core count"),
+    _arg("--new-cores", required=True, type=_positive_int, help="target core count"),
+    _arg("--rpeak", required=True, type=_performance, help="target peak"),
+    _arg(
+        "--alpha-scale",
+        type=_nonnegative_float,
+        default=1.0,
+        help="factor applied to the serial fraction (default 1)",
+    ),
+)
 def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
     from .core import alpha_eff_from_efficiency
     from .projection import ScalingScenario, whatif
@@ -551,9 +502,6 @@ def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
         target_rpeak=args.rpeak,
     )
     result = whatif(scenario)
-    rmax: object = result.rmax
-    if output.is_table:
-        rmax = f"{output.number(result.rmax)} Gflop/s ({_human_gflops(result.rmax)})"
     output.scalars(
         [
             ("base_efficiency", args.efficiency),
@@ -564,11 +512,17 @@ def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
             ("target_cores", args.new_cores),
             ("target_rpeak_gflops", args.rpeak),
             ("efficiency", result.efficiency.value),
-            ("rmax_gflops", rmax),
+            ("rmax_gflops", output.rate(result.rmax)),
         ]
     )
 
 
+@_command(
+    "required-alpha",
+    "serial fraction needed to hold an efficiency at a core count",
+    _arg("--efficiency", required=True, type=float),
+    _arg("--cores", required=True, type=_positive_int),
+)
 def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
     from .projection import required_one_minus_alpha
 
@@ -582,6 +536,21 @@ def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
     )
 
 
+@_command(
+    "bounds",
+    "absolute limits implied by a budget of inherently serial cycles",
+    _arg("--clock-hz", required=True, type=float),
+    _arg("--runtime-s", required=True, type=float),
+    _arg("--hw-cycles", type=_nonnegative_float, default=0.0),
+    _arg("--os-cycles", type=_nonnegative_float, default=0.0),
+    _arg("--sw-cycles", type=_nonnegative_float, default=0.0),
+    _arg("--size-m", type=_nonnegative_float, default=0.0),
+    _arg(
+        "--per-proc-flops",
+        type=_performance,
+        help="single-processor rate; suffixed values are Gflop/s-based",
+    ),
+)
 def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
     from .projection import ContributionBudget, bounds
 
@@ -596,12 +565,6 @@ def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
         per_processor_flops=per_flops,
     )
     result = bounds(budget)
-    throughput: object = result.saturation_flops
-    if output.is_table and result.saturation_flops is not None:
-        throughput = (
-            f"{output.number(result.saturation_flops)} flop/s "
-            f"({_human_gflops(result.saturation_flops / 1e9)})"
-        )
     output.scalars(
         [
             ("total_cycles", result.total_cycles),
@@ -609,7 +572,7 @@ def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
             ("contributed_cycles", result.contributed_cycles),
             ("min_one_minus_alpha", result.min_one_minus_alpha),
             ("max_speedup", result.max_speedup),
-            ("max_throughput_flops", throughput),
+            ("max_throughput_flops", output.rate(result.saturation_flops, "flop/s")),
             ("share_hardware", result.breakdown["hardware"]),
             ("share_os", result.breakdown["os"]),
             ("share_software", result.breakdown["software"]),
@@ -618,22 +581,33 @@ def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
     )
 
 
+@_command(
+    "saturation",
+    "payload-performance ceiling of unbounded growth",
+    _arg("--per-proc-flops", required=True, type=_performance),
+    _arg("--one-minus-alpha", required=True, type=float),
+)
 def _cmd_saturation(args: argparse.Namespace, output: _Output) -> None:
     from .projection import saturation_rmax
 
     ceiling = saturation_rmax(args.per_proc_flops, args.one_minus_alpha)
-    value: object = ceiling
-    if output.is_table:
-        value = f"{output.number(ceiling)} Gflop/s ({_human_gflops(ceiling)})"
     output.scalars(
         [
             ("per_processor_rpeak_gflops", args.per_proc_flops),
             ("one_minus_alpha", args.one_minus_alpha),
-            ("saturation_rmax_gflops", value),
+            ("saturation_rmax_gflops", output.rate(ceiling)),
         ]
     )
 
 
+@_command(
+    "sweep",
+    "grid of effective parallel fractions over overhead and sequential ratios",
+    _arg("--workload", required=True, help="template workload file (JSON)"),
+    _arg("--processors", type=_positive_int, help="override the template's count"),
+    _arg("--overhead", required=True, type=_ratio_list, help="comma-separated ratios"),
+    _arg("--sequential", required=True, type=_ratio_list, help="comma-separated ratios"),
+)
 def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
     from .workload import load_workload, sweep_alpha_eff
 
@@ -652,20 +626,6 @@ def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
         rows,
         comments=[f"processors={processors}"],
     )
-
-
-_COMMANDS = {
-    "alpha": _cmd_alpha,
-    "simulate": _cmd_simulate,
-    "timeline": _cmd_timeline,
-    "mean-efficiency": _cmd_mean_efficiency,
-    "project": _cmd_project,
-    "whatif": _cmd_whatif,
-    "required-alpha": _cmd_required_alpha,
-    "bounds": _cmd_bounds,
-    "saturation": _cmd_saturation,
-    "sweep": _cmd_sweep,
-}
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -690,7 +650,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         out=sys.stdout,
     )
     try:
-        _COMMANDS[args.command](args, output)
+        _COMMANDS[args.command][2](args, output)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

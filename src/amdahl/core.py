@@ -23,6 +23,7 @@ even where 1 - E is below the resolution of a double next to 1.0.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateCoresError,
     InconsistentMeasurementsError,
     InfeasibleTargetError,
+    ModelError,
     SuperlinearError,
     UnboundedError,
 )
@@ -52,6 +54,10 @@ __all__ = [
 # boundary (e.g. efficiency measured exactly at 1/k). Values beyond the slack
 # are genuine precondition violations, not rounding.
 _BOUNDARY_SLACK = 1e-12
+
+# The largest core count the model accepts: its formulas divide by the count as a
+# float. Held as an int so that the check is an int comparison.
+_MAX_CORES = int(sys.float_info.max)
 
 
 class EstimationMethod(Enum):
@@ -152,6 +158,9 @@ def _require_cores(cores: int, minimum: int) -> None:
                 f"needs at least {minimum} processors to invert, got {cores}"
             )
         raise ValueError(f"cores must be >= {minimum}, got {cores}")
+    if cores > _MAX_CORES:
+        size = f"a {cores.bit_length()}-bit integer" if isinstance(cores, int) else repr(cores)
+        raise ModelError(f"cores must be <= {sys.float_info.max!r}, got {size}")
 
 
 def _require_fraction(one_minus_alpha: float, name: str = "one_minus_alpha") -> None:
@@ -304,8 +313,18 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
 
 
 def max_speedup(one_minus_alpha: float) -> float:
-    """The asymptotic speedup limit 1 / (1 - alpha) for infinitely many processors."""
+    """The asymptotic speedup limit 1 / (1 - alpha) for infinitely many processors.
+
+    Raises:
+        UnboundedError: the serial fraction is zero.
+        ModelError: the limit lies beyond the float range.
+    """
     _require_fraction(one_minus_alpha)
     if one_minus_alpha == 0.0:
         raise UnboundedError("a perfectly parallel program has no finite speedup limit")
-    return 1.0 / one_minus_alpha
+    ceiling = 1.0 / one_minus_alpha
+    if math.isinf(ceiling):
+        raise ModelError(
+            f"one_minus_alpha {one_minus_alpha!r} is too small for a finite speedup bound"
+        )
+    return ceiling

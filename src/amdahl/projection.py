@@ -23,6 +23,7 @@ from .core import (
     _require_positive,
     alpha_eff_from_efficiency,
     efficiency_from_alpha,
+    max_speedup,
 )
 from .errors import AlphaOverflowError, ModelError, UnboundedError, ZeroBudgetError
 
@@ -291,8 +292,9 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
     min_oma = contributed / total_cycles
     # A budget that claims more serial cycles than the run has is not a bound.
     _require_fraction(min_oma, "min_one_minus_alpha")
-    if min_oma == 0.0 or math.isinf(1.0 / min_oma):
+    if min_oma == 0.0:
         raise ModelError(f"min_one_minus_alpha {min_oma!r} is too small for a finite speedup bound")
+    speedup = max_speedup(min_oma)
     flops = budget.per_processor_flops
     saturation = None if flops is None else saturation_rmax(flops, min_oma)
     return BoundsResult(
@@ -300,7 +302,7 @@ def bounds(budget: ContributionBudget) -> BoundsResult:
         propagation_cycles=propagation_cycles,
         contributed_cycles=contributed,
         min_one_minus_alpha=min_oma,
-        max_speedup=1.0 / min_oma,
+        max_speedup=speedup,
         saturation_flops=saturation,
         breakdown={k: v / contributed for k, v in parts.items()},
     )

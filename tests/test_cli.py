@@ -26,6 +26,8 @@ HPCG = fixture_path("top500_2017_hpcg.csv")
 EARLY = fixture_path("early_linpack_1992.csv")
 CLASSIC = fixture_path("workload_classic.json")
 REALISTIC = fixture_path("workload_realistic.json")
+# A core count of 401 digits: a valid integer argument beyond the float range.
+BEYOND_FLOAT = "1" + "0" * 400
 
 
 def cli(capsys, *argv: str):
@@ -109,6 +111,16 @@ class TestAlpha:
         code, _, err = cli(capsys, *argv)
         assert code == 1
         assert "error:" in err
+
+    def test_speedup_limit_beyond_the_float_range_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "alpha", "--e1", "1", "--k1", "1",
+            "--e2", "0.9999999999999999", "--k2", "1" + "0" * 300,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: one_minus_alpha ")
+        assert err.endswith(" is too small for a finite speedup bound\n")
+        assert err.count("\n") == 1
 
     def test_model_violations_exit_2(self, capsys):
         code, _, err = cli(capsys, "alpha", "--efficiency", "1.2", "--cores", "4")
@@ -624,6 +636,29 @@ class TestHarness:
     def test_help_exits_0(self, capsys):
         assert cli(capsys, "--help")[0] == 0
         assert cli(capsys, "alpha", "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--efficiency", "0.5", "--cores", BEYOND_FLOAT),
+            ("alpha", "--e1", "0.9", "--k1", "2", "--e2", "0.8", "--k2", BEYOND_FLOAT),
+            ("whatif", "--efficiency", "0.5", "--cores", BEYOND_FLOAT,
+             "--new-cores", "4", "--rpeak", "1"),
+            ("whatif", "--efficiency", "0.5", "--cores", "4",
+             "--new-cores", BEYOND_FLOAT, "--rpeak", "1"),
+            ("required-alpha", "--efficiency", "0.5", "--cores", BEYOND_FLOAT),
+            ("project", "--one-minus-alpha", "0.1", "--cores", BEYOND_FLOAT, "--rpeak", "1",
+             "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2"),
+        ],
+        ids=["alpha-cores", "alpha-k2", "whatif-cores", "whatif-new-cores", "required-alpha",
+             "project"],
+    )
+    def test_core_counts_beyond_the_float_range_exit_2(self, capsys, argv):
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: cores must be <= 1.7976931348623157e+308, got a 1329-bit integer\n"
+        )
 
     def test_bad_precision_is_usage_error(self, capsys):
         assert cli(capsys, "--precision", "0", "alpha", "--efficiency", "0.9",

@@ -24,6 +24,7 @@ from amdahl.core import (
 from amdahl.errors import (
     DegenerateCoresError,
     InconsistentMeasurementsError,
+    ModelError,
     SuperlinearError,
     UnboundedError,
 )
@@ -166,6 +167,12 @@ class TestInverseFromEfficiency:
         with pytest.raises(ValueError):
             alpha_eff_from_efficiency(0.1, 4)
 
+    def test_core_count_beyond_the_float_range(self):
+        with pytest.raises(ModelError, match="cores must be <= .*, got a 1329-bit integer"):
+            alpha_eff_from_efficiency(0.5, 10**400)
+        with pytest.raises(ModelError, match="cores must be <= .*, got inf"):
+            speedup_from_alpha(0.5, math.inf)
+
     def test_degenerate_cores(self):
         with pytest.raises(DegenerateCoresError):
             alpha_eff_from_efficiency(0.9, 1)
@@ -267,6 +274,12 @@ class TestMaxSpeedup:
     def test_perfectly_parallel_is_unbounded(self):
         with pytest.raises(UnboundedError):
             max_speedup(0.0)
+
+    def test_limit_beyond_the_float_range(self):
+        # a subnormal fraction whose reciprocal overflows
+        with pytest.raises(ModelError, match="is too small for a finite speedup bound") as info:
+            max_speedup(1e-320)
+        assert not isinstance(info.value, UnboundedError)
 
     @given(small_fractions, core_counts)
     def test_dominates_any_finite_machine(self, one_minus_alpha, cores):
