@@ -57,7 +57,8 @@ _BOUNDARY_SLACK = 1e-12
 
 # The largest core count the model accepts: its formulas divide by the count as a
 # float. Held as an int so that the check is an int comparison.
-_MAX_CORES = int(sys.float_info.max)
+_FLOAT_MAX = sys.float_info.max
+_MAX_CORES = int(_FLOAT_MAX)
 
 
 class EstimationMethod(Enum):
@@ -92,8 +93,8 @@ class AlphaEstimate(_Checked, namedtuple("AlphaEstimate", "one_minus_alpha metho
 
     def __new__(cls, one_minus_alpha: float, method: EstimationMethod, cores: int | None = None):
         _require_fraction(one_minus_alpha)
-        if cores is not None and cores < 1:
-            raise ValueError(f"cores must be >= 1, got {cores!r}")
+        if cores is not None:
+            _require_cores(cores, 1)
         return tuple.__new__(cls, (one_minus_alpha, method, cores))
 
     @property
@@ -108,8 +109,7 @@ class Speedup(_Checked, namedtuple("Speedup", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"speedup must be a finite positive number, got {value!r}")
+        _require_positive(value, "speedup")
         return tuple.__new__(cls, (value,))
 
 
@@ -126,20 +126,19 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
     __slots__ = ()
 
     def __new__(cls, value: float, inverse_excess: float | None = None):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"efficiency must be a finite positive number, got {value!r}")
+        _require_positive(value, "efficiency")
         if value > 1.0:
             raise SuperlinearError(
                 f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
         if inverse_excess is None:
             inverse_excess = (1.0 - value) / value
-        elif inverse_excess < 0.0 or not math.isfinite(inverse_excess):
-            raise ValueError(f"inverse_excess must be >= 0, got {inverse_excess!r}")
-        elif abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
-            raise ValueError(
-                f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
-            )
+        else:
+            _require_nonnegative(inverse_excess, "inverse_excess")
+            if abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
+                raise ValueError(
+                    f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
+                )
         return tuple.__new__(cls, (value, inverse_excess))
 
 
@@ -159,23 +158,45 @@ def _require_cores(cores: int, minimum: int) -> None:
             )
         raise ValueError(f"cores must be >= {minimum}, got {cores}")
     if cores > _MAX_CORES:
-        size = f"a {cores.bit_length()}-bit integer" if isinstance(cores, int) else repr(cores)
-        raise ModelError(f"cores must be <= {sys.float_info.max!r}, got {size}")
+        raise ModelError(f"cores must be <= {_FLOAT_MAX!r}, got {_shown(cores)}")
 
 
-def _require_fraction(one_minus_alpha: float, name: str = "one_minus_alpha") -> None:
-    if not math.isfinite(one_minus_alpha) or not 0.0 <= one_minus_alpha <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {one_minus_alpha!r}")
+def _finite(x: object) -> float | None:
+    """x as a finite float, or None if it is not a real number inside the float range."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an int too large for a float
+            return None
+        if math.isfinite(value):
+            return value
+    return None
 
 
-def _require_positive(value: float, name: str) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+def _shown(x: object) -> str:
+    """repr(x), but an int beyond the float range by its bit length: repr fails past 4300 digits."""
+    if isinstance(x, int) and abs(x) > _MAX_CORES:
+        return f"a {x.bit_length()}-bit integer"
+    return repr(x)
 
 
-def _require_nonnegative(value: float, name: str) -> None:
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+# The guards take any object; a float skips the call to _finite.
+def _require_fraction(one_minus_alpha: object, name: str = "one_minus_alpha") -> None:
+    number = one_minus_alpha if type(one_minus_alpha) is float else _finite(one_minus_alpha)
+    if number is None or not 0.0 <= number <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {_shown(one_minus_alpha)}")
+
+
+def _require_positive(value: object, name: str) -> None:
+    number = value if type(value) is float else _finite(value)
+    if number is None or not 0.0 < number <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite and > 0, got {_shown(value)}")
+
+
+def _require_nonnegative(value: object, name: str) -> None:
+    number = value if type(value) is float else _finite(value)
+    if number is None or not 0.0 <= number <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite and >= 0, got {_shown(value)}")
 
 
 def _snap_to_unit(x: float) -> float:
@@ -294,8 +315,8 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
     _require_cores(k2, 1)
     if k1 == k2:
         raise ValueError("the two timings must use different processor counts")
-    if not math.isfinite(t1) or t1 <= 0.0 or not math.isfinite(t2) or t2 <= 0.0:
-        raise ValueError(f"timings must be finite positive numbers, got {t1!r} and {t2!r}")
+    _require_positive(t1, "t1")
+    _require_positive(t2, "t2")
     ratio = t1 / t2
     # T(k) is proportional to x * (1 - 1/k) + 1/k with x = 1 - alpha.
     numer = ratio / k2 - 1.0 / k1

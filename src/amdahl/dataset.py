@@ -24,7 +24,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .core import Efficiency, _Checked, _require_positive, alpha_eff_from_efficiency
+from .core import Efficiency, _Checked, _require_cores, _require_positive, alpha_eff_from_efficiency
 from .errors import (
     DegenerateDataError,
     MalformedRowError,
@@ -80,8 +80,7 @@ class MachineRecord(
         self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores}")
+        _require_cores(self.cores, 1)
         _require_positive(self.rmax, "rmax")
         _require_positive(self.rpeak, "rpeak")
         if self.rmax > self.rpeak:
@@ -110,7 +109,7 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
     header: list[str] | None = None
     records: list[MachineRecord] = []
     for row in reader:
-        if not row or (row[0].lstrip().startswith("#") and header is None):
+        if not row or row[0].lstrip().startswith("#"):
             continue
         if header is None:
             header = [cell.strip().lower() for cell in row]
@@ -119,8 +118,6 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
                     "expected header starting with "
                     f"'{','.join(_HEADER)}', got '{','.join(header)}'"
                 )
-            continue
-        if row[0].lstrip().startswith("#"):
             continue
         records.append(_parse_row(row, reader.line_num))
     if header is None:

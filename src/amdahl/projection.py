@@ -21,6 +21,7 @@ from .core import (
     _require_fraction,
     _require_nonnegative,
     _require_positive,
+    _shown,
     alpha_eff_from_efficiency,
     efficiency_from_alpha,
     max_speedup,
@@ -44,6 +45,10 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
 
+# The most points geometric_grid builds: far more than a plot or table needs, and
+# few enough to hold in memory. A larger grid is rejected before any allocation.
+_MAX_GRID_POINTS = 10**6
+
 
 class CurvePoint(NamedTuple):
     """One point of a peak-performance sweep."""
@@ -55,11 +60,18 @@ class CurvePoint(NamedTuple):
 
 
 def geometric_grid(start: float, stop: float, points: int) -> list[float]:
-    """Geometrically spaced values from start to stop inclusive."""
+    """Geometrically spaced values from start to stop inclusive.
+
+    Raises:
+        ValueError: fewer than 2 points, or an endpoint that is not finite and > 0.
+        ModelError: more than ``_MAX_GRID_POINTS`` (10**6) points.
+    """
     if points < 2:
         raise ValueError(f"a grid needs at least 2 points, got {points}")
-    if start <= 0.0 or stop <= 0.0:
-        raise ValueError("grid endpoints must be positive")
+    _require_positive(start, "grid start")
+    _require_positive(stop, "grid stop")
+    if points > _MAX_GRID_POINTS:
+        raise ModelError(f"a grid has at most {_MAX_GRID_POINTS} points, got {_shown(points)}")
     ratio = (stop / start) ** (1.0 / (points - 1))
     grid = [start * ratio**i for i in range(points)]
     grid[-1] = stop
@@ -97,7 +109,9 @@ def project_curve(
 def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
     """Core count reaching rpeak at the base per-core peak: rounded, at least 1."""
     cores = base_cores * rpeak / base_rpeak
-    if not math.isfinite(cores):
+    if math.isinf(cores):  # the product can overflow where the count does not
+        cores = base_cores * (rpeak / base_rpeak)
+    if math.isinf(cores):
         raise ModelError(
             f"core count for rpeak {rpeak!r} overflows the float range "
             f"(base peak {base_rpeak!r} on {base_cores} cores)"

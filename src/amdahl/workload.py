@@ -30,7 +30,16 @@ import sys
 from collections import namedtuple
 from typing import IO, Iterable, NamedTuple, Union
 
-from .core import AlphaEstimate, EstimationMethod, Speedup, _Checked, alpha_eff_from_speedup
+from .core import (
+    AlphaEstimate,
+    EstimationMethod,
+    Speedup,
+    _Checked,
+    _finite,
+    _require_nonnegative,
+    _require_positive,
+    alpha_eff_from_speedup,
+)
 from .errors import InvalidTemplateError, InvalidWorkloadError
 
 __all__ = [
@@ -66,15 +75,7 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
     __slots__ = ()
 
     def __new__(cls, processors: int, phases: Iterable[Phase]):
-        if not isinstance(processors, int) or isinstance(processors, bool):
-            raise InvalidWorkloadError(f"processors must be an integer, got {processors!r}")
-        if processors < 1:
-            raise InvalidWorkloadError(f"processors must be >= 1, got {processors}")
-        if processors > sys.maxsize:  # the simulator keeps one list slot per processor
-            raise InvalidWorkloadError(
-                f"processors must be <= {sys.maxsize}, "
-                f"got a {processors.bit_length()}-bit integer"
-            )
+        _require_processors(processors)
         phases = tuple(phases)
         if not phases:
             raise InvalidWorkloadError("a workload needs at least one phase")
@@ -83,50 +84,32 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
         return tuple.__new__(cls, (processors, phases))
 
 
+def _require_processors(processors: object) -> None:
+    if not isinstance(processors, int) or isinstance(processors, bool):
+        raise InvalidWorkloadError(f"processors must be an integer, got {processors!r}")
+    if processors < 1:
+        raise InvalidWorkloadError(f"processors must be >= 1, got {processors}")
+    if processors > sys.maxsize:  # the simulator keeps one list slot per processor
+        raise InvalidWorkloadError(
+            f"processors must be <= {sys.maxsize}, got a {processors.bit_length()}-bit integer"
+        )
+
+
 def _validate_phase(phase: Phase, index: int) -> None:
-    if isinstance(phase, SequentialPhase):
-        if not _positive(phase.duration):
-            raise InvalidWorkloadError(
-                f"phase {index}: sequential duration must be finite and > 0, "
-                f"got {phase.duration!r}"
-            )
-    elif isinstance(phase, ParallelPhase):
-        if not phase.chunks:
-            raise InvalidWorkloadError(f"phase {index}: a parallel phase needs at least one chunk")
-        for j, c in enumerate(phase.chunks, 1):
-            if not _positive(c):
-                raise InvalidWorkloadError(
-                    f"phase {index}: chunk {j} must be finite and > 0, got {c!r}"
-                )
-        for name, ov in (("dispatch", phase.dispatch_overhead), ("collect", phase.collect_overhead)):
-            if not _nonnegative(ov):
-                raise InvalidWorkloadError(
-                    f"phase {index}: {name} overhead must be finite and >= 0, got {ov!r}"
-                )
-    else:
-        raise InvalidWorkloadError(f"phase {index}: unknown phase object {phase!r}")
-
-
-def _finite(x: object) -> float | None:
-    """x as a finite float, or None if it is not a real number inside the float range."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        try:
-            value = float(x)
-        except OverflowError:  # an int too large for a float
-            return None
-        if math.isfinite(value):
-            return value
-    return None
-
-
-def _positive(x: object) -> bool:
-    value = _finite(x)
-    return value is not None and value > 0
-
-
-def _nonnegative(x: object) -> bool:
-    value = _finite(x)
-    return value is not None and value >= 0
+    try:
+        if isinstance(phase, SequentialPhase):
+            _require_positive(phase.duration, "sequential duration")
+        elif isinstance(phase, ParallelPhase):
+            if not phase.chunks:
+                raise ValueError("a parallel phase needs at least one chunk")
+            for j, c in enumerate(phase.chunks, 1):
+                _require_positive(c, f"chunk {j}")
+            _require_nonnegative(phase.dispatch_overhead, "dispatch overhead")
+            _require_nonnegative(phase.collect_overhead, "collect overhead")
+        else:
+            raise ValueError(f"unknown phase object {phase!r}")
+    except ValueError as exc:
+        raise InvalidWorkloadError(f"phase {index}: {exc}") from None
 
 
 class TimelineSegment(NamedTuple):
@@ -262,11 +245,14 @@ def sweep_alpha_eff(
 
     A parallel phase always starts on an idle machine, so the span of its
     chunks depends on neither ratio. The chunks are placed once, by
-    :func:`simulate`, and each grid point then costs O(1): its parallel time
-    is sequential time + dispatch + span + collect, its serial time is
-    sequential time + chunk work. Values can differ from simulating each
-    rescaled workload in the last few bits, because the span is measured
-    from time 0 rather than from the end of the preceding phases.
+    :func:`simulate` on min(processors, chunk count) processors: with at least
+    as many processors as chunks each chunk starts at time 0 on its own
+    processor, so the extra processors change nothing and cost no memory.
+    Each grid point then costs O(1): its parallel time is sequential time +
+    dispatch + span + collect, its serial time is sequential time + chunk
+    work. Values can differ from simulating each rescaled workload in the
+    last few bits, because the span is measured from time 0 rather than from
+    the end of the preceding phases.
 
     Grid points are emitted with the overhead ratio as the outer loop.
 
@@ -288,10 +274,12 @@ def sweep_alpha_eff(
     overhead_ratios = list(overhead_ratios)
     sequential_ratios = list(sequential_ratios)
     for r in overhead_ratios + sequential_ratios:
-        if not _nonnegative(r):
-            raise ValueError(f"sweep ratios must be finite and >= 0, got {r!r}")
+        _require_nonnegative(r, "sweep ratios")
 
-    placed = simulate(WorkloadSpec(processors, (ParallelPhase(base.chunks),)))
+    _require_processors(processors)
+    placed = simulate(
+        WorkloadSpec(min(processors, len(base.chunks)), (ParallelPhase(base.chunks),))
+    )
     span, chunk_work = placed.parallel_time, placed.serial_time
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
     sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]

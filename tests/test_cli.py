@@ -122,6 +122,20 @@ class TestAlpha:
         assert err.endswith(" is too small for a finite speedup bound\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--speedup", "0", "--cores", "4"), "speedup must be finite and > 0, got 0.0"),
+            (("--efficiency", "-0.5", "--cores", "4"),
+             "efficiency must be finite and > 0, got -0.5"),
+            (("--t1", "-1", "--k1", "1", "--t2", "1", "--k2", "2"),
+             "t1 must be finite and > 0, got -1.0"),
+        ],
+        ids=["speedup", "efficiency", "timing"],
+    )
+    def test_out_of_domain_values_exit_2(self, capsys, argv, message):
+        assert cli(capsys, "alpha", *argv) == (2, "", f"error: {message}\n")
+
     def test_model_violations_exit_2(self, capsys):
         code, _, err = cli(capsys, "alpha", "--efficiency", "1.2", "--cores", "4")
         assert code == 2 and "exceeds 1" in err
@@ -168,6 +182,12 @@ class TestSimulate:
         bad.write_text("{", encoding="utf-8")
         code, _, err = cli(capsys, "simulate", "--workload", str(bad))
         assert code == 2
+
+    def test_phase_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text('{"processors": 2, "phases": [1]}', encoding="utf-8")
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out, err) == (2, "", "error: phase 1 must be an object, got 1\n")
 
     def test_total_time_beyond_the_float_range_exits_2(self, capsys, tmp_path):
         doc = {"processors": 2, "phases": [{"type": "sequential", "duration": 1e308}] * 2}
@@ -266,6 +286,22 @@ class TestTimeline:
         assert code == 0
         assert "fit" not in out
 
+    def test_unit_efficiency_champion_gets_no_fit_line(self, capsys, tmp_path):
+        # A zero serial fraction has no logarithm, so the trend fit is skipped.
+        path = tmp_path / "two_years.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            "2016,1,A,MPP,100,100,100,HPL\n"
+            "2017,1,B,MPP,100,50,100,HPL\n",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "timeline", "--input", str(path), "--select", "best-rmax")
+        assert (code, err) == (0, "")
+        assert [line.split()[:3] for line in out.splitlines()[1:]] == [
+            ["2016", "1", "A"], ["2017", "1", "B"],
+        ]
+        assert "fit" not in out
+
     def test_bad_selector_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "timeline", "--input", HPL, "--select", "fastest")
         assert code == 1
@@ -294,6 +330,20 @@ class TestMeanEfficiency:
     def test_top_is_required(self, capsys):
         code, _, err = cli(capsys, "mean-efficiency", "--input", HPL)
         assert code == 1
+
+    def test_core_count_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            f"2017,1,A,MPP,{BEYOND_FLOAT},50,100,HPL\n",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "mean-efficiency", "--input", str(path), "--top", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: row at line 2: cores must be <= 1.7976931348623157e+308, "
+            "got a 1329-bit integer\n"
+        )
 
     def test_table_mode(self, capsys):
         code, out, _ = cli(capsys, "mean-efficiency", "--input", EARLY, "--top", "10")
@@ -394,6 +444,34 @@ class TestProject:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: core count for rpeak 1.0 overflows the float range")
+
+    def test_finite_core_count_whose_product_overflows_is_projected(self, capsys):
+        argv = ["--format", "csv", "project", "--one-minus-alpha", "1e-6", "--cores", "10",
+                "--rpeak", "1e10", "--rpeak-from", "1e307", "--rpeak-to", "1e308", "--points", "2"]
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert [int(row[1]) for row in csv_rows(out)[1:]] == [
+            round(10 * 1e307 / 1e10), round(10 * (1e308 / 1e10)),
+        ]
+        argv[argv.index("1e10")] = "1e-300"
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: core count for rpeak 1e+307 overflows the float range")
+
+    def test_non_positive_grid_start_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "project", "--one-minus-alpha", "0.01", "--cores", "10",
+            "--rpeak", "10", "--rpeak-from", "0", "--rpeak-to", "2", "--points", "3",
+        )
+        assert (code, out, err) == (2, "", "error: grid start must be finite and > 0, got 0.0\n")
+
+    def test_grid_beyond_the_cap_exits_2(self, capsys):
+        code, out, err = cli(
+            capsys, "project", "--one-minus-alpha", "0.01", "--cores", "10",
+            "--rpeak", "10", "--rpeak-from", "1", "--rpeak-to", "2", "--points", str(sys.maxsize),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: a grid has at most 1000000 points, got {sys.maxsize}\n"
 
     def test_bad_points_value(self, capsys):
         code, _, err = cli(
@@ -659,6 +737,35 @@ class TestHarness:
         assert err == (
             "error: cores must be <= 1.7976931348623157e+308, got a 1329-bit integer\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("alpha", "--efficiency", "0.5", "--cores", "x"),
+             "argument --cores: expected an integer, got 'x'"),
+            (("alpha", "--efficiency", "0.5", "--cores", "0"),
+             "argument --cores: expected a positive integer, got 0"),
+            (("--precision", "x", "alpha", "--efficiency", "0.5", "--cores", "4"),
+             "argument --precision: expected an integer, got 'x'"),
+            (("whatif", "--efficiency", "0.5", "--cores", "2", "--new-cores", "4",
+              "--rpeak", "100", "--alpha-scale", "x"),
+             "argument --alpha-scale: expected a number, got 'x'"),
+            (("sweep", "--workload", REALISTIC, "--overhead", ",", "--sequential", "0"),
+             "argument --overhead: expected at least one ratio"),
+            (("saturation", "--per-proc-flops", "abcP", "--one-minus-alpha", "1e-5"),
+             "argument --per-proc-flops: cannot parse performance value 'abcP'; "
+             "use Gflop/s or a suffix M/G/T/P/E"),
+            (("project", "--one-minus-alpha", "0.1", "--cores", "4",
+              "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2"),
+             "explicit mode needs all of --one-minus-alpha --cores --rpeak"),
+        ],
+        ids=["cores-not-int", "cores-zero", "precision-not-int", "alpha-scale-not-number",
+             "empty-ratio-list", "bad-performance", "explicit-without-rpeak"],
+    )
+    def test_argument_errors_exit_1(self, capsys, argv, message):
+        code, out, err = cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: {message}\n")
 
     def test_bad_precision_is_usage_error(self, capsys):
         assert cli(capsys, "--precision", "0", "alpha", "--efficiency", "0.9",

@@ -122,6 +122,15 @@ class TestParsing:
         assert excinfo.value.line_num == 3
         assert fragment in str(excinfo.value)
 
+    def test_core_count_beyond_the_float_range_is_malformed(self):
+        text = f"{HEADER}\n2017,5,OK,MPP,4,1,2,HPL\n2017,1,X,MPP,1{'0' * 400},1,2,HPL\n"
+        with pytest.raises(MalformedRowError) as excinfo:
+            parse_records(io.StringIO(text))
+        assert excinfo.value.line_num == 3
+        assert excinfo.value.reason == (
+            "cores must be <= 1.7976931348623157e+308, got a 1329-bit integer"
+        )
+
     def test_read_records_from_path(self):
         records = read_records(fixture_path("top500_2017_hpl.csv"))
         assert len(records) == 10

@@ -51,6 +51,14 @@ class TestGeometricGrid:
             geometric_grid(0.0, 10.0, 3)
         with pytest.raises(ValueError):
             geometric_grid(1.0, -10.0, 3)
+        with pytest.raises(ValueError, match=r"^grid stop must be finite and > 0, got inf$"):
+            geometric_grid(1.0, math.inf, 3)
+        with pytest.raises(ValueError, match=r"^grid start must be finite and > 0, got nan$"):
+            geometric_grid(math.nan, 1.0, 3)
+
+    def test_grid_beyond_the_cap_is_rejected_before_it_is_built(self):
+        with pytest.raises(ModelError, match=r"^a grid has at most 1000000 points, got 1000001$"):
+            geometric_grid(1.0, 2.0, 10**6 + 1)
 
 
 class TestProjectCurve:
@@ -107,6 +115,12 @@ class TestProjectCurve:
         # A count that is huge but finite is still a count.
         (point,) = project_curve(10, 1.0, 1e-6, [1e300])
         assert point.cores == round(1e301)
+
+    def test_finite_count_whose_product_overflows_is_projected(self):
+        # 10 * 1e308 overflows, but the count 10 * (1e308 / 1e10) is about 1e299.
+        low, high = project_curve(10, 1e10, 1e-6, [1e307, 1e308])
+        assert low.cores == round(10 * 1e307 / 1e10)
+        assert high.cores == round(10 * (1e308 / 1e10))
 
     def test_validation(self):
         with pytest.raises(ValueError):

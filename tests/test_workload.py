@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -206,6 +207,26 @@ class TestWorkloadValidation:
                 WorkloadSpec(processors=2, phases=(phase,))
         spec = WorkloadSpec(processors=2, phases=(SequentialPhase(10**300),))
         assert simulate(spec).serial_time == 1e300
+
+    @pytest.mark.parametrize(
+        "phase, message",
+        [
+            (SequentialPhase(-1.0),
+             "phase 1: sequential duration must be finite and > 0, got -1.0"),
+            (ParallelPhase(chunks=()), "phase 1: a parallel phase needs at least one chunk"),
+            (ParallelPhase(chunks=(1.0, math.inf)),
+             "phase 1: chunk 2 must be finite and > 0, got inf"),
+            (ParallelPhase(chunks=(1.0,), dispatch_overhead=math.nan),
+             "phase 1: dispatch overhead must be finite and >= 0, got nan"),
+            (ParallelPhase(chunks=(1.0,), collect_overhead=-0.5),
+             "phase 1: collect overhead must be finite and >= 0, got -0.5"),
+            ("seq", "phase 1: unknown phase object 'seq'"),
+        ],
+    )
+    def test_phase_messages(self, phase, message):
+        with pytest.raises(InvalidWorkloadError) as excinfo:
+            WorkloadSpec(processors=2, phases=(phase,))
+        assert str(excinfo.value) == message
 
     def test_processors_beyond_an_index_are_rejected(self):
         # Only counts past sys.maxsize: smaller ones would really be allocated.
@@ -491,6 +512,24 @@ class TestSweep:
             sweep_alpha_eff(3, realistic_spec(), [0.0], [-1.0])
         with pytest.raises(ValueError):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [10**400])
+        with pytest.raises(ValueError, match=r"^sweep ratios must be finite and >= 0, got -0\.1$"):
+            sweep_alpha_eff(3, realistic_spec(), [0.0], [-0.1])
+
+    def test_wide_sweep_places_each_chunk_on_its_own_processor(self):
+        # Computed by placing the three chunks among all 10**5 processors.
+        expected = [float.fromhex(h) for h in (
+            "0x1.999806f15aa5ep-2", "0x1.f15dbccedffbfp-2", "0x1.47ad9baece64fp-1",
+            "0x1.c28de458bb015p-2", "0x1.0a3ccf93bddc0p-1", "0x1.53f75e1a9e807p-1",
+            "0x1.9999567d8f1bap-1", "0x1.a83a4a227aa9fp-1", "0x1.c28f33e4ef76fp-1",
+        )]
+        tracemalloc.start()
+        try:
+            points = sweep_alpha_eff(10**5, realistic_spec(), [0.0, 0.1, 1.0], [0.0, 0.5, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [p.one_minus_alpha_eff for p in points] == expected
+        assert peak < 2**20
 
     def test_processors_beyond_an_index_are_rejected(self):
         with pytest.raises(InvalidWorkloadError, match="^processors must be <= "):
