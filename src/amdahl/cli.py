@@ -244,6 +244,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The estimation modes of `amdahl alpha`: the flags that select each one, the flags
+# its core estimator takes in order, that estimator's name (named rather than
+# imported, so building the parser loads no library layer), and the message for a
+# missing flag.
+_ALPHA_MODES = (
+    (("efficiency",), ("efficiency", "cores"), "alpha_eff_from_efficiency",
+     "--efficiency also needs --cores"),
+    (("speedup",), ("speedup", "cores"), "alpha_eff_from_speedup",
+     "--speedup also needs --cores"),
+    (("e1", "e2"), ("e1", "k1", "e2", "k2"), "alpha_from_two_efficiencies",
+     "two-point estimation needs all of --e1 --k1 --e2 --k2"),
+    (("t1", "t2"), ("t1", "k1", "t2", "k2"), "alpha_from_two_timings",
+     "two-timing estimation needs all of --t1 --k1 --t2 --k2"),
+)
+
+
 @_command(
     "alpha",
     "estimate the effective serial fraction from measurements",
@@ -258,46 +274,23 @@ def _build_parser() -> _Parser:
     _arg("--k2", type=_positive_int, help="cores of the second point"),
 )
 def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
-    from .core import (
-        alpha_eff_from_efficiency,
-        alpha_eff_from_speedup,
-        alpha_from_two_efficiencies,
-        alpha_from_two_timings,
-        max_speedup,
-    )
+    from . import core
     from .errors import UnboundedError
 
-    modes = {
-        "efficiency": args.efficiency is not None,
-        "speedup": args.speedup is not None,
-        "two-point": args.e1 is not None or args.e2 is not None,
-        "two-timings": args.t1 is not None or args.t2 is not None,
-    }
-    picked = [name for name, active in modes.items() if active]
+    picked = [mode for mode in _ALPHA_MODES if any(getattr(args, f) is not None for f in mode[0])]
     if len(picked) != 1:
         raise _UsageError(
             "alpha needs exactly one estimation mode: --efficiency/--cores, "
             "--speedup/--cores, --e1/--k1/--e2/--k2, or --t1/--k1/--t2/--k2"
         )
-    mode = picked[0]
-    if mode in ("efficiency", "speedup") and args.cores is None:
-        raise _UsageError(f"--{mode} also needs --cores")
-    if mode == "two-point" and None in (args.e1, args.e2, args.k1, args.k2):
-        raise _UsageError("two-point estimation needs all of --e1 --k1 --e2 --k2")
-    if mode == "two-timings" and None in (args.t1, args.t2, args.k1, args.k2):
-        raise _UsageError("two-timing estimation needs all of --t1 --k1 --t2 --k2")
-
-    if mode == "efficiency":
-        estimate = alpha_eff_from_efficiency(args.efficiency, args.cores)
-    elif mode == "speedup":
-        estimate = alpha_eff_from_speedup(args.speedup, args.cores)
-    elif mode == "two-point":
-        estimate = alpha_from_two_efficiencies(args.e1, args.k1, args.e2, args.k2)
-    else:
-        estimate = alpha_from_two_timings(args.t1, args.k1, args.t2, args.k2)
+    _, flags, estimator, missing = picked[0]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
+        raise _UsageError(missing)
+    estimate = getattr(core, estimator)(*values)
 
     try:
-        ceiling: object = max_speedup(estimate.one_minus_alpha)
+        ceiling: object = core.max_speedup(estimate.one_minus_alpha)
     except UnboundedError:
         ceiling = "unbounded"
     output.scalars(
@@ -362,22 +355,17 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
 )
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
     from .dataset import (
-        _HEADER,
+        _COLUMNS,
         ChampionCriterion,
-        derive,
+        _record_row,
         fit_semilog,
         read_records,
         select_champions,
     )
 
     records = read_records(args.input)
-    rows = []
-    for r in select_champions(records, ChampionCriterion(args.select), top=args.top):
-        m = derive(r)
-        rows.append(
-            [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak,
-             r.benchmark.value, m.efficiency.value, m.one_minus_alpha_eff]
-        )
+    champions = select_champions(records, ChampionCriterion(args.select), top=args.top)
+    rows = [_record_row(r, derived=True) for r in champions]
     fit = None
     if len({row[0] for row in rows}) >= 2:
         try:
@@ -391,7 +379,7 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
             f"slope={fit.slope!r} intercept={fit.intercept!r} "
             f"r_squared={fit.r_squared!r} n={fit.n}"
         )
-    output.table(_HEADER + ("efficiency", "one_minus_alpha_eff"), rows, comments=comments)
+    output.table(_COLUMNS, rows, comments=comments)
     if fit is not None and output.is_table:
         output.out.write(
             "\nfit of log10(one_minus_alpha_eff) on year: "

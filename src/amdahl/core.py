@@ -110,7 +110,7 @@ class Speedup(_Checked, namedtuple("Speedup", "value")):
 
     def __new__(cls, value: float):
         _require_positive(value, "speedup")
-        return tuple.__new__(cls, (value,))
+        return tuple.__new__(cls, (float(value),))
 
 
 class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
@@ -139,15 +139,17 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
                 raise ValueError(
                     f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
                 )
-        return tuple.__new__(cls, (value, inverse_excess))
+        return tuple.__new__(cls, (float(value), inverse_excess))
 
 
+# The value types check the raw number before storing it as a float, so an int
+# beyond the float range is the guard's ValueError, not float()'s OverflowError.
 def _coerce_efficiency(e: float | Efficiency) -> Efficiency:
-    return e if isinstance(e, Efficiency) else Efficiency(float(e))
+    return e if isinstance(e, Efficiency) else Efficiency(e)
 
 
 def _coerce_speedup(s: float | Speedup) -> Speedup:
-    return s if isinstance(s, Speedup) else Speedup(float(s))
+    return s if isinstance(s, Speedup) else Speedup(s)
 
 
 def _require_cores(cores: int, minimum: int) -> None:

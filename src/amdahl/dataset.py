@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _HEADER = ("year", "rank", "name", "arch", "cores", "rmax_gflops", "rpeak_gflops", "benchmark")
+# The file columns plus the derived pair that write_records and `amdahl timeline` add.
+_COLUMNS = _HEADER + ("efficiency", "one_minus_alpha_eff")
 
 
 class Architecture(Enum):
@@ -180,15 +182,19 @@ def write_records(
     writer = csv.writer(stream, lineterminator="\n")
     if comment:
         stream.write(f"# {comment}\n")
-    columns = list(_HEADER) + (["efficiency", "one_minus_alpha_eff"] if derived else [])
-    writer.writerow(columns)
-    for r in records:
-        row = [r.year, r.rank, r.name, r.arch.value, r.cores, repr(r.rmax), repr(r.rpeak),
-               r.benchmark.value]
-        if derived:
-            m = derive(r)
-            row += [repr(m.efficiency.value), repr(m.one_minus_alpha_eff)]
-        writer.writerow(row)
+    writer.writerow(_COLUMNS if derived else _HEADER)
+    # csv writes each float as str(), its shortest round-trip form, also for a
+    # float subclass whose repr() is not a number, such as numpy's float64.
+    writer.writerows(_record_row(r, derived) for r in records)
+
+
+def _record_row(r: MachineRecord, derived: bool) -> list:
+    """A record's fields in file column order, then its derived pair when asked."""
+    row = [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value]
+    if derived:
+        m = derive(r)
+        row += [m.efficiency.value, m.one_minus_alpha_eff]
+    return row
 
 
 def derive(record: MachineRecord) -> DerivedMetrics:

@@ -40,7 +40,6 @@ __all__ = [
     "required_one_minus_alpha",
     "saturation_rmax",
     "bounds",
-    "SPEED_OF_LIGHT_M_PER_S",
 ]
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
@@ -62,6 +61,10 @@ class CurvePoint(NamedTuple):
 def geometric_grid(start: float, stop: float, points: int) -> list[float]:
     """Geometrically spaced values from start to stop inclusive.
 
+    The endpoints are exact. When stop / start lies at or past the edge of the
+    float range, where the plain step would overflow, the points are spaced
+    in log space instead.
+
     Raises:
         ValueError: fewer than 2 points, or an endpoint that is not finite and > 0.
         ModelError: more than ``_MAX_GRID_POINTS`` (10**6) points.
@@ -73,7 +76,16 @@ def geometric_grid(start: float, stop: float, points: int) -> list[float]:
     if points > _MAX_GRID_POINTS:
         raise ModelError(f"a grid has at most {_MAX_GRID_POINTS} points, got {_shown(points)}")
     ratio = (stop / start) ** (1.0 / (points - 1))
-    grid = [start * ratio**i for i in range(points)]
+    try:
+        grid = [start * ratio**i for i in range(points)]
+    except OverflowError:  # a power past the float range raises rather than giving inf
+        grid = [math.inf]
+    # The points run monotonically to grid[-1], so only it can leave the float
+    # range, which it does when stop / start lies at or past the edge of that range.
+    if not 0.0 < grid[-1] < math.inf:
+        log_start = math.log(start)
+        step = (math.log(stop) - log_start) / (points - 1)
+        grid = [start] + [math.exp(log_start + step * i) for i in range(1, points)]
     grid[-1] = stop
     return grid
 

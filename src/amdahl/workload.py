@@ -9,10 +9,12 @@ A workload is an ordered list of phases executed on k processors:
   collect overhead, again on processor 0.
 
 Chunks may outnumber processors; the greedy placement (Graham's list
-scheduling) then packs them into multiple rounds. A heap of (free time,
-index) pairs finds each chunk's processor, so placing n chunks on k
-processors costs O(n log k). Waiting time is never an input: it emerges
-wherever a processor has nothing to do.
+scheduling) then packs them into multiple rounds. One routine, ``_place``,
+does that placement for every parallel phase: a heap of (free time, index)
+pairs over min(k, n) processors finds each of n chunks its processor, so a
+phase costs O(n log min(k, n)). Waiting time is never an input: it emerges
+wherever a processor has nothing to do. A run keeps one busy and one idle
+time per processor, so ``simulate`` takes at most ``_MAX_PROCESSORS``.
 
 The serial baseline used for speedup is the same work run on one processor
 with no dispatch or collect overheads (those exist only because of the
@@ -40,12 +42,11 @@ from .core import (
     _require_positive,
     alpha_eff_from_speedup,
 )
-from .errors import InvalidTemplateError, InvalidWorkloadError
+from .errors import InvalidTemplateError, InvalidWorkloadError, ModelError
 
 __all__ = [
     "SequentialPhase",
     "ParallelPhase",
-    "Phase",
     "WorkloadSpec",
     "TimelineSegment",
     "ScheduleResult",
@@ -54,6 +55,10 @@ __all__ = [
     "sweep_alpha_eff",
     "load_workload",
 ]
+
+# The most processors simulate runs: each one costs a busy and an idle slot, so a
+# larger count is rejected before anything is allocated.
+_MAX_PROCESSORS = 10**6
 
 
 class SequentialPhase(NamedTuple):
@@ -140,57 +145,46 @@ class ScheduleResult(NamedTuple):
 
 
 def simulate(workload: WorkloadSpec) -> ScheduleResult:
-    """Run the greedy schedule and measure it. See the module docstring for semantics."""
+    """Run the greedy schedule and measure it. See the module docstring for semantics.
+
+    Raises:
+        ModelError: more than ``_MAX_PROCESSORS`` (10**6) processors.
+        InvalidWorkloadError: the run's times overflow the float range.
+    """
     k = workload.processors
+    if k > _MAX_PROCESSORS:
+        raise ModelError(f"simulate runs at most {_MAX_PROCESSORS} processors, got {k}")
     busy = [0.0] * k
     timeline: list[TimelineSegment] = []
     clock = 0.0
     serial_chunks = 0.0
     serial_seq = 0.0
 
+    def step(duration: float, label: str) -> None:
+        """Work on processor 0 while the others wait."""
+        nonlocal clock
+        timeline.append(TimelineSegment(0, clock, clock + duration, label))
+        busy[0] += duration
+        clock += duration
+
     for index, phase in enumerate(workload.phases, 1):
         if isinstance(phase, SequentialPhase):
-            timeline.append(TimelineSegment(0, clock, clock + phase.duration, f"seq{index}"))
-            busy[0] += phase.duration
+            step(phase.duration, f"seq{index}")
             serial_seq += phase.duration
-            clock += phase.duration
             continue
-
         if phase.dispatch_overhead > 0.0:
-            timeline.append(
-                TimelineSegment(0, clock, clock + phase.dispatch_overhead, f"dispatch{index}")
-            )
-            busy[0] += phase.dispatch_overhead
-            clock += phase.dispatch_overhead
-
-        # Sorted by (time, index), so the list is already a heap.
-        free = [(clock, p) for p in range(k)]
-        phase_end = clock
-        for j, chunk in enumerate(phase.chunks, 1):
-            start, p = free[0]
-            end = start + chunk
+            step(phase.dispatch_overhead, f"dispatch{index}")
+        placed, clock = _place(phase.chunks, k, clock)
+        for j, (chunk, (p, start, end)) in enumerate(zip(phase.chunks, placed), 1):
             timeline.append(TimelineSegment(p, start, end, f"chunk{index}.{j}"))
             busy[p] += chunk
             serial_chunks += chunk
-            heapq.heapreplace(free, (end, p))
-            if end > phase_end:
-                phase_end = end
-        clock = phase_end
-
         if phase.collect_overhead > 0.0:
-            timeline.append(
-                TimelineSegment(0, clock, clock + phase.collect_overhead, f"collect{index}")
-            )
-            busy[0] += phase.collect_overhead
-            clock += phase.collect_overhead
+            step(phase.collect_overhead, f"collect{index}")
 
     serial_time = serial_seq + serial_chunks
     parallel_time = clock
-    if not (math.isfinite(serial_time) and math.isfinite(parallel_time)):
-        raise InvalidWorkloadError(
-            f"workload overflows the time range: serial time {serial_time!r}, "
-            f"parallel time {parallel_time!r}"
-        )
+    _require_finite_times(serial_time, parallel_time)
     speedup = Speedup(serial_time / parallel_time)
     one_minus = _simulated_fraction(speedup.value, k)
 
@@ -206,6 +200,35 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
         per_processor_idle=idle,
         timeline=tuple(timeline),
     )
+
+
+def _place(chunks: tuple[float, ...], k: int, clock: float) -> tuple[list, float]:
+    """Greedy list schedule of one parallel phase starting at ``clock`` on k processors.
+
+    Each chunk in turn goes to the processor that frees up first, ties to the
+    lowest index. Returns each chunk's (processor, start, end) and the phase's
+    end, the largest end. The heap holds only the first min(k, n) processors
+    for n chunks, which is exact: a processor with index >= n is chosen only
+    when all n lower ones are busy past the phase start, and that takes n
+    chunks already placed.
+    """
+    free = [(clock, p) for p in range(min(k, len(chunks)))]  # sorted, so already a heap
+    placed = []
+    for chunk in chunks:
+        start, p = free[0]
+        end = start + chunk
+        placed.append((p, start, end))
+        heapq.heapreplace(free, (end, p))
+    # Each processor's chunks end in order, so the latest free time is the largest end.
+    return placed, max(free)[0]
+
+
+def _require_finite_times(serial_time: float, parallel_time: float) -> None:
+    if not (math.isfinite(serial_time) and math.isfinite(parallel_time)):
+        raise InvalidWorkloadError(
+            f"workload overflows the time range: serial time {serial_time!r}, "
+            f"parallel time {parallel_time!r}"
+        )
 
 
 def _simulated_fraction(speedup: float, k: int) -> float | None:
@@ -244,20 +267,20 @@ def sweep_alpha_eff(
       removes the sequential phases entirely).
 
     A parallel phase always starts on an idle machine, so the span of its
-    chunks depends on neither ratio. The chunks are placed once, by
-    :func:`simulate` on min(processors, chunk count) processors: with at least
-    as many processors as chunks each chunk starts at time 0 on its own
-    processor, so the extra processors change nothing and cost no memory.
-    Each grid point then costs O(1): its parallel time is sequential time +
-    dispatch + span + collect, its serial time is sequential time + chunk
-    work. Values can differ from simulating each rescaled workload in the
-    last few bits, because the span is measured from time 0 rather than from
-    the end of the preceding phases.
+    chunks depends on neither ratio. The chunks are placed once, from time 0,
+    by the placement :func:`simulate` uses, which keeps min(processors, chunk
+    count) processors; so a sweep's time and memory do not grow with
+    ``processors`` beyond the chunk count. Each grid point then costs O(1):
+    its parallel time is sequential time + dispatch + span + collect, its
+    serial time is sequential time + chunk work. Values can differ from
+    simulating each rescaled workload in the last few bits, because the span
+    is measured from time 0 rather than from the end of the preceding phases.
 
     Grid points are emitted with the overhead ratio as the outer loop.
 
     Raises:
-        InvalidWorkloadError: a grid point's times overflow the float range.
+        InvalidWorkloadError: the chunks' or a grid point's times overflow the
+            float range.
     """
     if processors < 2:
         raise ValueError("a sweep needs at least 2 processors to define alpha_eff")
@@ -277,10 +300,9 @@ def sweep_alpha_eff(
         _require_nonnegative(r, "sweep ratios")
 
     _require_processors(processors)
-    placed = simulate(
-        WorkloadSpec(min(processors, len(base.chunks)), (ParallelPhase(base.chunks),))
-    )
-    span, chunk_work = placed.parallel_time, placed.serial_time
+    span = _place(base.chunks, processors, 0.0)[1]
+    chunk_work = sum(base.chunks)
+    _require_finite_times(chunk_work, span)
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
     sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]
 

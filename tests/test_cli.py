@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,6 +220,15 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: processors must be <= ")
 
+    def test_processors_above_the_simulate_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cap.json"
+        doc = {"processors": 10**6 + 1, "phases": [{"type": "sequential", "duration": 1}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out, err) == (
+            2, "", "error: simulate runs at most 1000000 processors, got 1000001\n"
+        )
+
     def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(
@@ -352,6 +362,23 @@ class TestMeanEfficiency:
 
 
 class TestProject:
+    @pytest.mark.parametrize(
+        ("base", "start", "stop", "points"),
+        [(("4", "1"), "5e-324", "1", "3"), (("1", "1e10"), "1", "1.7976931348623157e308", "5")],
+        ids=["ratio-overflows", "last-power-overflows"],
+    )
+    def test_grid_endpoints_beyond_the_float_range_apart(self, capsys, base, start, stop, points):
+        code, out, err = cli(
+            capsys, "--format", "csv", "project", "--one-minus-alpha", "0.1",
+            "--cores", base[0], "--rpeak", base[1],
+            "--rpeak-from", start, "--rpeak-to", stop, "--points", points,
+        )
+        assert (code, err) == (0, "")
+        rpeaks = [float(row[0]) for row in csv_rows(out)[1:]]
+        assert len(rpeaks) == int(points)
+        assert (rpeaks[0], rpeaks[-1]) == (float(start), float(stop))
+        assert all(0.0 < a < b < math.inf for a, b in zip(rpeaks, rpeaks[1:]))
+
     def test_from_file_and_explicit_agree(self, capsys):
         record = next(
             r for r in read_records(HPL) if r.name == "Sunway TaihuLight"

@@ -161,6 +161,14 @@ class TestWriting:
         last = text.splitlines()[-1].split(",")
         assert float(last[8]) == original[-1].rmax / original[-1].rpeak
 
+    def test_numpy_floats_round_trip(self):
+        # repr(np.float64(0.5)) is "np.float64(0.5)", which no parser reads back.
+        original = record(rmax=np.float64(0.5), rpeak=np.float64(1.0))
+        buffer = io.StringIO()
+        write_records([original], buffer, derived=True)
+        assert buffer.getvalue().splitlines()[1].split(",")[5:7] == ["0.5", "1.0"]
+        assert parse_records(io.StringIO(buffer.getvalue())) == [original]
+
     def test_comment_line_starts_with_hash(self):
         buffer = io.StringIO()
         write_records([record()], buffer, comment="amdahl table --input x.csv")

@@ -22,10 +22,18 @@ from amdahl.core import (
     _require_fraction,
     _require_nonnegative,
     _require_positive,
+    alpha_eff_from_efficiency,
+    alpha_eff_from_speedup,
     alpha_from_two_timings,
 )
 from amdahl.dataset import Architecture, Benchmark, MachineRecord
-from amdahl.projection import ContributionBudget, ScalingScenario, geometric_grid, project_curve
+from amdahl.projection import (
+    ContributionBudget,
+    ScalingScenario,
+    geometric_grid,
+    project_curve,
+    required_one_minus_alpha,
+)
 
 
 # Reference copies of the replaced checks; each returns True where the old code raised.
@@ -187,6 +195,10 @@ BAD_CALLS = {
     "ScalingScenario": lambda: ScalingScenario(0.1, 4, target_cores=8, target_rpeak=10**400),
     "geometric_grid-inf": lambda: geometric_grid(1.0, math.inf, 3),
     "geometric_grid-nan": lambda: geometric_grid(math.nan, 1.0, 3),
+    # These converted the number with float() before the guard saw it.
+    "alpha_eff_from_speedup": lambda: alpha_eff_from_speedup(10**400, 4),
+    "alpha_eff_from_efficiency": lambda: alpha_eff_from_efficiency(10**400, 4),
+    "required_one_minus_alpha": lambda: required_one_minus_alpha(10**400, 4),
 }
 
 
@@ -194,3 +206,12 @@ BAD_CALLS = {
 def test_out_of_domain_calls_raise_value_error(call):
     with pytest.raises(ValueError, match=" must be finite and > 0, got "):
         call()
+
+
+def test_an_int_beyond_the_float_range_is_not_converted_before_the_check():
+    message = r"^speedup must be finite and > 0, got a 1329-bit integer$"
+    with pytest.raises(ValueError, match=message):
+        alpha_eff_from_speedup(10**400, 4)
+    # Accepted numbers are stored as floats.
+    assert type(alpha_eff_from_speedup(2, 3).one_minus_alpha) is float
+    assert type(Speedup(2).value) is float and type(Efficiency(1).value) is float

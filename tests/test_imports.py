@@ -77,6 +77,19 @@ class TestPackageExports:
         )
         assert fresh_modules(script) == ["True"] * len(SUBMODULES)
 
+    @pytest.mark.parametrize("module", sorted(amdahl._HOMES))
+    def test_homes_list_exactly_each_module_public_names(self, module):
+        home = importlib.import_module(f"amdahl.{module}")
+        if module == "errors":  # it has no __all__: its public names are its classes
+            public = {
+                name for name, value in vars(home).items()
+                if isinstance(value, type) and value.__module__ == home.__name__
+                and not name.startswith("_")
+            }
+        else:
+            public = set(home.__all__)
+        assert set(amdahl._HOMES[module]) == public
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError) as excinfo:
             amdahl.no_such_name  # noqa: B018

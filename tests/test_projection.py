@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -59,6 +60,33 @@ class TestGeometricGrid:
     def test_grid_beyond_the_cap_is_rejected_before_it_is_built(self):
         with pytest.raises(ModelError, match=r"^a grid has at most 1000000 points, got 1000001$"):
             geometric_grid(1.0, 2.0, 10**6 + 1)
+
+    @pytest.mark.parametrize(
+        ("start", "stop", "points"),
+        [
+            (5e-324, 1.0, 3),  # stop / start overflows
+            (1e-300, 1e300, 4),
+            (1.0, sys.float_info.max, 5),  # the last power rounds past the float range
+            (1e300, 1e-300, 4),  # stop / start underflows to 0
+        ],
+    )
+    def test_endpoints_further_apart_than_the_float_range(self, start, stop, points):
+        grid = geometric_grid(start, stop, points)
+        assert len(grid) == points
+        assert (grid[0], grid[-1]) == (start, stop)
+        assert all(0.0 < x < math.inf for x in grid)
+        ascending = grid if stop > start else grid[::-1]
+        assert all(a < b for a, b in zip(ascending, ascending[1:]))
+
+    @given(
+        st.floats(min_value=1e-150, max_value=1e150),
+        st.floats(min_value=1e-150, max_value=1e150),
+        st.integers(min_value=2, max_value=64),
+    )
+    def test_a_grid_inside_the_float_range_keeps_the_plain_step(self, start, stop, points):
+        ratio = (stop / start) ** (1.0 / (points - 1))
+        expected = [start * ratio**i for i in range(points - 1)] + [stop]
+        assert geometric_grid(start, stop, points) == expected
 
 
 class TestProjectCurve:

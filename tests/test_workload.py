@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from amdahl.core import EstimationMethod
 from amdahl.dataset import fixture_path
 from amdahl.workload import (
+    _MAX_PROCESSORS,
     ParallelPhase,
     SequentialPhase,
     TimelineSegment,
@@ -23,7 +24,7 @@ from amdahl.workload import (
     simulate,
     sweep_alpha_eff,
 )
-from amdahl.errors import InvalidTemplateError, InvalidWorkloadError
+from amdahl.errors import InvalidTemplateError, InvalidWorkloadError, ModelError
 
 
 def classic_spec() -> WorkloadSpec:
@@ -235,6 +236,23 @@ class TestWorkloadValidation:
                 WorkloadSpec(processors=processors, phases=(SequentialPhase(1.0),))
         assert WorkloadSpec(sys.maxsize, (SequentialPhase(1.0),)).processors == sys.maxsize
 
+    def test_simulate_rejects_processors_above_its_cap_before_allocating(self):
+        # Neither count is allocated: the cap is checked first.
+        assert _MAX_PROCESSORS == 10**6
+        for processors in (_MAX_PROCESSORS + 1, sys.maxsize):
+            spec = WorkloadSpec(processors, (SequentialPhase(1.0),))
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    ModelError,
+                    match=f"^simulate runs at most 1000000 processors, got {processors}$",
+                ):
+                    simulate(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
 
 @st.composite
 def workload_specs(draw):
@@ -394,11 +412,19 @@ class TestHeapPlacement:
     @example(WorkloadSpec(5, (ParallelPhase(chunks=(1.0, 1.0)),)))
     @example(WorkloadSpec(4, (ParallelPhase(chunks=(0.5,) * 13),)))
     @example(WorkloadSpec(3, (ParallelPhase(chunks=(2.0, 1.0, 1.0, 1.0, 1.0, 2.0)),)))
+    @example(WorkloadSpec(4, (SequentialPhase(1e20), ParallelPhase(chunks=(1e-5,) * 3))))
     def test_matches_linear_scan_placement(self, spec):
         result = simulate(spec)
         reference = linear_scan_timeline(spec)
         assert result.timeline == tuple(reference)
         assert result.parallel_time == max(segment.end for segment in reference)
+
+    def test_chunks_too_short_to_move_a_late_clock_share_a_processor(self):
+        # 1e20 + 1e-5 rounds to 1e20, so processor 0 stays free at the phase
+        # start and, with the lowest index, takes every chunk.
+        spec = WorkloadSpec(4, (SequentialPhase(1e20), ParallelPhase(chunks=(1e-5,) * 3)))
+        chunks = simulate(spec).timeline[1:]
+        assert [(s.processor, s.start, s.end) for s in chunks] == [(0, 1e20, 1e20)] * 3
 
 
 def rescaled(template: WorkloadSpec, processors: int, overhead: float, sequential: float):
