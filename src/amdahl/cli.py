@@ -153,7 +153,9 @@ class _Output:
         return f"{self.number(value)} {unit} ({human})"
 
     def comment(self, text: str) -> None:
-        self.out.write(f"# {text}\n")
+        # Every line of the text is marked, so a line break inside it cannot end the comment.
+        for line in text.splitlines():
+            self.out.write(f"# {line}\n")
 
     def scalars(self, pairs: Sequence[tuple[str, object]]) -> None:
         cells = [(key, self.cell(value)) for key, value in pairs]
@@ -354,17 +356,10 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
     _arg("--top", type=_positive_int, help="only consider each year's N best-ranked records"),
 )
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
-    from .dataset import (
-        _COLUMNS,
-        ChampionCriterion,
-        _record_row,
-        fit_semilog,
-        read_records,
-        select_champions,
-    )
+    from .dataset import _COLUMNS, _record_row, fit_semilog, read_records, select_champions
 
     records = read_records(args.input)
-    champions = select_champions(records, ChampionCriterion(args.select), top=args.top)
+    champions = select_champions(records, args.select, top=args.top)
     rows = [_record_row(r, derived=True) for r in champions]
     fit = None
     if len({row[0] for row in rows}) >= 2:
@@ -455,6 +450,8 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     grid = geometric_grid(args.rpeak_from, args.rpeak_to, args.points)
     curve = project_curve(base_cores, base_rpeak, one_minus_alpha, grid)
     rows = [[pt.rpeak, pt.cores, pt.efficiency, pt.rmax] for pt in curve]
+    if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
+        rows = [[rp, float(k) if k > 2**53 else k, e, rmax] for rp, k, e, rmax in rows]
     output.table(
         ("rpeak_gflops", "cores", "efficiency", "rmax_gflops"),
         rows,

@@ -56,7 +56,7 @@ __all__ = [
 _BOUNDARY_SLACK = 1e-12
 
 # The largest core count the model accepts: its formulas divide by the count as a
-# float. Held as an int so that the check is an int comparison.
+# float. Held as an int so that the count guard compares two ints.
 _FLOAT_MAX = sys.float_info.max
 _MAX_CORES = int(_FLOAT_MAX)
 
@@ -94,7 +94,7 @@ class AlphaEstimate(_Checked, namedtuple("AlphaEstimate", "one_minus_alpha metho
     def __new__(cls, one_minus_alpha: float, method: EstimationMethod, cores: int | None = None):
         _require_fraction(one_minus_alpha)
         if cores is not None:
-            _require_cores(cores, 1)
+            _require_count(cores, "cores", 1)
         return tuple.__new__(cls, (one_minus_alpha, method, cores))
 
     @property
@@ -152,15 +152,27 @@ def _coerce_speedup(s: float | Speedup) -> Speedup:
     return s if isinstance(s, Speedup) else Speedup(s)
 
 
-def _require_cores(cores: int, minimum: int) -> None:
-    if cores < minimum:
-        if minimum >= 2:
-            raise DegenerateCoresError(
-                f"needs at least {minimum} processors to invert, got {cores}"
-            )
-        raise ValueError(f"cores must be >= {minimum}, got {cores}")
-    if cores > _MAX_CORES:
-        raise ModelError(f"cores must be <= {_FLOAT_MAX!r}, got {_shown(cores)}")
+def _require_count(
+    value: object, name: str, minimum: int, fewer: str | None = None, error: type = ValueError,
+    maximum: float = _MAX_CORES, excess: type = ModelError,
+) -> None:
+    """Require an integer count in [minimum, maximum]: an int or any integer type, not a bool.
+
+    A count below ``minimum`` raises ``error`` saying ``fewer`` (by default
+    "<name> must be >= <minimum>"), and so does a value that is no integer; a count
+    above ``maximum`` raises ``excess``. A float outside the bounds is named by the
+    bound it breaks, so inf is too many rather than no integer.
+    """
+    if type(value) is not int:
+        if hasattr(value, "__index__") and not isinstance(value, bool):
+            value = value.__index__()  # numpy's integers, for one
+        elif not (isinstance(value, float) and (value < minimum or value > maximum)):
+            raise error(f"{name} must be an integer, got {_shown(value)}")
+    if value < minimum:
+        raise error(f"{fewer or f'{name} must be >= {minimum}'}, got {_shown(value)}")
+    if value > maximum:
+        bound = _FLOAT_MAX if maximum == _MAX_CORES else maximum  # the float range, as a float
+        raise excess(f"{name} must be <= {bound!r}, got {_shown(value)}")
 
 
 def _finite(x: object) -> float | None:
@@ -210,7 +222,7 @@ def _snap_to_unit(x: float) -> float:
 
 def speedup_from_alpha(one_minus_alpha: float, cores: int) -> Speedup:
     """Forward model: the speedup of a (1 - alpha) serial fraction on ``cores`` processors."""
-    _require_cores(cores, 1)
+    _require_count(cores, "cores", 1)
     _require_fraction(one_minus_alpha)
     s = 1.0 / (one_minus_alpha + (1.0 - one_minus_alpha) / cores)
     # The model guarantees S <= k; spare callers the occasional half-ulp excess.
@@ -223,7 +235,7 @@ def efficiency_from_alpha(one_minus_alpha: float, cores: int) -> Efficiency:
     Evaluates 1 / (k * (1 - alpha) + alpha) in the equivalent grouping
     1 / (1 + (k - 1) * (1 - alpha)), whose denominator excess is exact.
     """
-    _require_cores(cores, 1)
+    _require_count(cores, "cores", 1)
     _require_fraction(one_minus_alpha)
     excess = (cores - 1) * one_minus_alpha
     return Efficiency(value=1.0 / (1.0 + excess), inverse_excess=excess)
@@ -236,12 +248,13 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
     S = 1 (no speedup at all) maps to one_minus_alpha = 1 without error.
 
     Raises:
-        DegenerateCoresError: fewer than 2 processors, inversion undefined.
+        DegenerateCoresError: fewer than 2 processors, inversion undefined, or a
+            count that is no integer.
         SuperlinearError: S > k, outside the model.
         ValueError: S < 1 (a slowdown, which the model cannot express).
     """
     s = _coerce_speedup(speedup).value
-    _require_cores(cores, 2)
+    _require_count(cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError)
     if s > cores:
         raise SuperlinearError(
             f"superlinear speedup outside model: {s!r} exceeds processor count {cores}"
@@ -260,13 +273,13 @@ def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> Alp
     maps to one_minus_alpha = 1 without error.
 
     Raises:
-        DegenerateCoresError: fewer than 2 processors.
+        DegenerateCoresError: fewer than 2 processors, or a count that is no integer.
         SuperlinearError: E > 1 (raised when the Efficiency is constructed).
         InfeasibleTargetError: E < 1/k, which would be a slowdown; no serial
             fraction in [0, 1] reaches it.
     """
     e = _coerce_efficiency(efficiency)
-    _require_cores(cores, 2)
+    _require_count(cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError)
     one_minus = _snap_to_unit(e.inverse_excess / (cores - 1))
     if one_minus > 1.0:
         raise InfeasibleTargetError(
@@ -291,8 +304,8 @@ def alpha_from_two_efficiencies(
             no parallel fraction in (0, 1] explains both measurements.
     """
     ea, eb = _coerce_efficiency(e1), _coerce_efficiency(e2)
-    _require_cores(k1, 1)
-    _require_cores(k2, 1)
+    _require_count(k1, "cores", 1)
+    _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two measurements must use different processor counts")
     slope = (eb.inverse_excess - ea.inverse_excess) / (k2 - k1)
@@ -313,8 +326,8 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
         InconsistentMeasurementsError: the timing ratio has no solution with
             a serial fraction in [0, 1].
     """
-    _require_cores(k1, 1)
-    _require_cores(k2, 1)
+    _require_count(k1, "cores", 1)
+    _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two timings must use different processor counts")
     _require_positive(t1, "t1")

@@ -24,7 +24,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .core import Efficiency, _Checked, _require_cores, _require_positive, alpha_eff_from_efficiency
+from .core import Efficiency, _Checked, _require_count, _require_positive, alpha_eff_from_efficiency
 from .errors import (
     DegenerateDataError,
     MalformedRowError,
@@ -80,9 +80,8 @@ class MachineRecord(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        _require_cores(self.cores, 1)
+        _require_count(self.rank, "rank", 1, maximum=math.inf)
+        _require_count(self.cores, "cores", 1)
         _require_positive(self.rmax, "rmax")
         _require_positive(self.rpeak, "rpeak")
         if self.rmax > self.rpeak:
@@ -220,19 +219,20 @@ def _year_cohorts(records: Iterable[MachineRecord], top: int | None) -> list[lis
 
 def select_champions(
     records: Iterable[MachineRecord],
-    by: ChampionCriterion,
+    by: ChampionCriterion | str,
     top: int | None = None,
 ) -> list[MachineRecord]:
     """The best record of each year, years ascending.
 
-    BEST_RMAX takes the highest measured throughput, BEST_ALPHA the smallest
-    derived serial fraction. Ties break toward the lower list rank, then the
-    lexicographically smaller name. With ``top``, only each year's first
-    ``top`` records by (rank, name) compete.
+    ``by`` is a criterion or its value, such as "best-rmax"; anything else
+    raises ValueError. BEST_RMAX takes the highest measured throughput,
+    BEST_ALPHA the smallest derived serial fraction. Ties break toward the
+    lower list rank, then the lexicographically smaller name. With ``top``,
+    only each year's first ``top`` records by (rank, name) compete.
     """
-    if top is not None and top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
-    if by is ChampionCriterion.BEST_RMAX:
+    if top is not None:
+        _require_count(top, "top", 1, maximum=math.inf)
+    if ChampionCriterion(by) is ChampionCriterion.BEST_RMAX:
         key = lambda r: (-r.rmax, r.rank, r.name)
     else:
         key = lambda r: (derive(r).one_minus_alpha_eff, r.rank, r.name)
@@ -299,8 +299,7 @@ def yearly_mean_efficiency(
     standard deviation is the population form: these are the complete top-N
     cohorts, not samples from something larger.
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    _require_count(top_n, "top_n", 1, maximum=math.inf)
     rows = []
     for cohort in _year_cohorts(records, top_n):
         efficiencies = [r.rmax / r.rpeak for r in cohort]

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 from .core import (
     Efficiency,
     _Checked,
-    _require_cores,
+    _require_count,
     _require_fraction,
     _require_nonnegative,
     _require_positive,
@@ -66,11 +66,11 @@ def geometric_grid(start: float, stop: float, points: int) -> list[float]:
     in log space instead.
 
     Raises:
-        ValueError: fewer than 2 points, or an endpoint that is not finite and > 0.
+        ValueError: a point count that is no integer or below 2, or an endpoint
+            that is not finite and > 0.
         ModelError: more than ``_MAX_GRID_POINTS`` (10**6) points.
     """
-    if points < 2:
-        raise ValueError(f"a grid needs at least 2 points, got {points}")
+    _require_count(points, "points", 2, "a grid needs at least 2 points", maximum=math.inf)
     _require_positive(start, "grid start")
     _require_positive(stop, "grid stop")
     if points > _MAX_GRID_POINTS:
@@ -105,7 +105,7 @@ def project_curve(
     Raises:
         ModelError: a grid peak implies a core count beyond the float range.
     """
-    _require_cores(base_cores, minimum=1)
+    _require_count(base_cores, "cores", 1)
     _require_fraction(one_minus_alpha)
     _require_positive(base_rpeak, "base_rpeak")
 
@@ -150,13 +150,13 @@ class ScalingScenario(_Checked, namedtuple(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _require_fraction(self.base_one_minus_alpha, "base_one_minus_alpha")
-        _require_cores(self.base_cores, minimum=1)
+        _require_count(self.base_cores, "cores", 1)
         _require_nonnegative(self.alpha_scale_factor, "alpha_scale_factor")
         for label, value in (("base_rpeak", self.base_rpeak), ("target_rpeak", self.target_rpeak)):
             if value is not None:
                 _require_positive(value, label)
         if self.target_cores is not None:
-            _require_cores(self.target_cores, minimum=1)
+            _require_count(self.target_cores, "cores", 1)
         if self.target_cores is None and self.target_rpeak is None:
             raise ValueError("a scenario needs target_cores, target_rpeak, or both")
         if (self.target_cores is None or self.target_rpeak is None) and self.base_rpeak is None:

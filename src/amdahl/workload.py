@@ -38,6 +38,7 @@ from .core import (
     Speedup,
     _Checked,
     _finite,
+    _require_count,
     _require_nonnegative,
     _require_positive,
     alpha_eff_from_speedup,
@@ -80,24 +81,15 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
     __slots__ = ()
 
     def __new__(cls, processors: int, phases: Iterable[Phase]):
-        _require_processors(processors)
+        # At most sys.maxsize: the simulator keeps one list slot per processor.
+        _require_count(processors, "processors", 1, error=InvalidWorkloadError,
+                       maximum=sys.maxsize, excess=InvalidWorkloadError)
         phases = tuple(phases)
         if not phases:
             raise InvalidWorkloadError("a workload needs at least one phase")
         for i, phase in enumerate(phases, 1):
             _validate_phase(phase, i)
         return tuple.__new__(cls, (processors, phases))
-
-
-def _require_processors(processors: object) -> None:
-    if not isinstance(processors, int) or isinstance(processors, bool):
-        raise InvalidWorkloadError(f"processors must be an integer, got {processors!r}")
-    if processors < 1:
-        raise InvalidWorkloadError(f"processors must be >= 1, got {processors}")
-    if processors > sys.maxsize:  # the simulator keeps one list slot per processor
-        raise InvalidWorkloadError(
-            f"processors must be <= {sys.maxsize}, got a {processors.bit_length()}-bit integer"
-        )
 
 
 def _validate_phase(phase: Phase, index: int) -> None:
@@ -279,11 +271,13 @@ def sweep_alpha_eff(
     Grid points are emitted with the overhead ratio as the outer loop.
 
     Raises:
-        InvalidWorkloadError: the chunks' or a grid point's times overflow the
-            float range.
+        ValueError: a processor count that is no integer or below 2.
+        InvalidWorkloadError: more than ``sys.maxsize`` processors, or the
+            chunks' or a grid point's times overflow the float range.
     """
-    if processors < 2:
-        raise ValueError("a sweep needs at least 2 processors to define alpha_eff")
+    _require_count(processors, "processors", 2,
+                   "a sweep needs at least 2 processors to define alpha_eff",
+                   maximum=sys.maxsize, excess=InvalidWorkloadError)
     parallel_phases = [p for p in template.phases if isinstance(p, ParallelPhase)]
     if len(parallel_phases) != 1:
         raise InvalidTemplateError(
@@ -299,7 +293,6 @@ def sweep_alpha_eff(
     for r in overhead_ratios + sequential_ratios:
         _require_nonnegative(r, "sweep ratios")
 
-    _require_processors(processors)
     span = _place(base.chunks, processors, 0.0)[1]
     chunk_work = sum(base.chunks)
     _require_finite_times(chunk_work, span)

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -485,6 +487,27 @@ class TestProject:
         assert (code, out) == (2, "")
         assert err.startswith("error: core count for rpeak 1e+307 overflows the float range")
 
+    def test_core_counts_above_2_53_print_as_floats_in_a_table(self, capsys):
+        argv = ["project", "--one-minus-alpha", "0.1", "--cores", "1", "--rpeak", "1e10",
+                "--rpeak-from", "1", "--rpeak-to", "1.7976931348623157e308", "--points", "5"]
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        cells = [line.split()[1] for line in out.splitlines()[2:]]
+        assert cells == ["1", "1.158e+67", "1.341e+144", "1.553e+221", "1.798e+298"]
+        assert max(len(line) for line in out.splitlines()) < 80
+        # csv keeps every count an exact integer.
+        code, out, _ = cli(capsys, "--format", "csv", *argv)
+        counts = [int(row[1]) for row in csv_rows(out)[1:]]
+        assert counts[-1] == int(1.7976931348623157e308 / 1e10) and code == 0
+        # At or below 2**53 a table cell is the integer itself.
+        code, out, _ = cli(
+            capsys, "project", "--one-minus-alpha", "0.1", "--cores", "1", "--rpeak", "1",
+            "--rpeak-from", "4503599627370496", "--rpeak-to", "9007199254740992", "--points", "2",
+        )
+        assert [line.split()[1] for line in out.splitlines()[2:]] == [
+            "4503599627370496", "9007199254740992",
+        ]
+
     def test_non_positive_grid_start_exits_2(self, capsys):
         code, out, err = cli(
             capsys, "project", "--one-minus-alpha", "0.01", "--cores", "10",
@@ -726,6 +749,44 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: processors must be <= ")
+
+
+class TestCsvComments:
+    """csv output starts with "#" lines even where a comment's text holds a line break."""
+
+    def preamble(self, out: str) -> list[str]:
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        return lines[:header + 1]
+
+    def test_argv_with_a_line_break(self, capsys):
+        for argv in (
+            ["alpha", "--efficiency", "0.5", "--cores", "4\n"],
+            ["sweep", "--workload", CLASSIC, "--overhead", "0\n", "--sequential", "1"],
+        ):
+            code, out, err = cli(capsys, "--format", "csv", *argv)
+            assert (code, err) == (0, "")
+            echoed = "amdahl --format csv " + shlex.join(argv)
+            assert self.preamble(out)[:2] == ["# " + line for line in echoed.splitlines()]
+            assert re.fullmatch(r"[a-z_]+(,[a-z_]+)*", self.preamble(out)[-1])
+
+    def test_record_name_with_a_line_break(self, capsys, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            '2016,1,"Sun\nway",MPP,10649600,93014593.9,125435904,HPL\n',
+            encoding="utf-8",
+        )
+        code, out, err = cli(
+            capsys, "--format", "csv", "project", "--input", str(path), "--name", "Sun\nway",
+            "--rpeak-from", "1e8", "--rpeak-to", "1e9", "--points", "2",
+        )
+        assert (code, err) == (0, "")
+        preamble = self.preamble(out)
+        assert preamble[-1] == "rpeak_gflops,cores,efficiency,rmax_gflops"
+        assert "# base: name=Sun" in preamble
+        assert "# way cores=10649600 rpeak_gflops=125435904.0" in preamble
+        assert all(line.startswith("# ") for line in preamble[:-1])
 
 
 class TestHarness:

@@ -2,8 +2,10 @@
 
 Each example is one subcommand with a random subset of its flags, valued from
 edge numbers (nan, infinities, signed zeros, the smallest subnormal, values
-near the float maximum, unit suffixes, 30-digit integers). A run that exits 0
-never prints ``inf`` or ``nan``.
+near the float maximum, unit suffixes, 30-digit integers), some of them
+padded with spaces, tabs or line breaks, which the flag parsers strip. A run
+that exits 0 never prints ``inf`` or ``nan``, and in csv format writes only
+``#`` lines before its header row, even where the echoed argv holds a line break.
 
 Counts that size an allocation stay small (``--points`` and ``--processors`` at
 most 64, and only the bundled workload files), so no example can ask for a
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import io
 import re
+import shlex
 import sys
 
 from hypothesis import example, given, settings
@@ -27,24 +30,32 @@ EDGE_NUMBERS = (
     "1e-308", "1e308", "-1e308", "1.7976931348623157e308", "1", "2", "0.5", "0.999", "1e-9",
     "123456789012345678901234567890", "-123456789012345678901234567890", "x", "",
 )
-number = st.one_of(
+
+
+def padded(tokens):
+    """The tokens, one in four with whitespace around it; int() and float() strip it."""
+    space = st.sampled_from(("", " ", "\t", "\n", " \n"))
+    return st.one_of(tokens, tokens, tokens, st.tuples(space, tokens, space).map("".join))
+
+
+number = padded(st.one_of(
     st.sampled_from(EDGE_NUMBERS),
     st.floats(min_value=0.0, max_value=1.0).map(repr),  # in most domains, so some runs succeed
     st.floats(min_value=1.0, max_value=1e6).map(repr),
     st.floats().map(repr),
     st.integers(min_value=-(10**30), max_value=10**30).map(str),
-)
+))
 performance = st.one_of(
     number,
     st.tuples(st.sampled_from(EDGE_NUMBERS), st.sampled_from("MGTPEmgtpeX")).map("".join),
 )
-count = st.one_of(
+count = padded(st.one_of(
     st.sampled_from(("1", "2", "3", "16", "0", "-1", "2.5", "nan", "1" + "0" * 30)),
     st.integers(min_value=1, max_value=10**6).map(str),
     st.integers(min_value=-3, max_value=10**30).map(str),
-)
-small_count = st.integers(min_value=-1, max_value=64).map(str)  # sizes an allocation
-ratios = st.lists(st.sampled_from(EDGE_NUMBERS), max_size=4).map(",".join)
+))
+small_count = padded(st.integers(min_value=-1, max_value=64).map(str))  # sizes an allocation
+ratios = st.lists(padded(st.sampled_from(EDGE_NUMBERS)), max_size=4).map(",".join)
 records = st.sampled_from(
     [fixture_path(name) for name in (
         "top500_2017_hpl.csv", "top500_2017_hpcg.csv", "early_linpack_1992.csv",
@@ -150,10 +161,21 @@ def run_captured(argv: list[str]) -> tuple[int, str]:
           "--rpeak-from", "5e-324", "--rpeak-to", "1", "--points", "3"])
 @example(["project", "--one-minus-alpha", "0.1", "--cores", "1", "--rpeak", "1e10",
           "--rpeak-from", "1", "--rpeak-to", "1.7976931348623157e308", "--points", "5"])
+# A count and a ratio ending in a line break, which split the echoed argv.
+@example(["--format=csv", "alpha", "--efficiency=0.5", "--cores=4\n"])
+@example(["--format=csv", "sweep", f"--workload={fixture_path('workload_classic.json')}",
+          "--overhead=0\n", "--sequential=1"])
 def test_any_argv_exits_cleanly(argv):
     code, out = run_captured(argv)
     assert code in (0, 1, 2)
-    if code == 0:
-        # The csv header comment repeats the argv, which may itself say nan or inf.
-        printed = "\n".join(line for line in out.splitlines() if not line.startswith("# amdahl "))
-        assert not re.search(r"\b(inf|nan)\b", printed, re.IGNORECASE), printed
+    if code != 0:
+        return
+    lines = out.splitlines()
+    echoed = 0
+    if argv[0] == "--format=csv":
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert re.fullmatch(r"[a-z_]+(,[a-z_]+)*", lines[header]), lines[: header + 1]
+        # The first comment repeats the argv, which may itself say nan or inf.
+        echoed = len(("amdahl " + shlex.join(argv)).splitlines())
+    printed = "\n".join(lines[echoed:])
+    assert not re.search(r"\b(inf|nan)\b", printed, re.IGNORECASE), printed

@@ -256,6 +256,18 @@ class TestChampions:
         with pytest.raises(ValueError):
             select_champions([record()], ChampionCriterion.BEST_RMAX, top=0)
 
+    def test_criterion_is_a_member_or_its_value(self):
+        # X has the higher rmax, Y the smaller serial fraction.
+        x = record(rank=1, name="X", cores=10, rmax=900.0, rpeak=1000.0)
+        y = record(rank=2, name="Y", cores=10**6, rmax=500.0, rpeak=1000.0)
+        for by in (ChampionCriterion.BEST_RMAX, "best-rmax"):
+            assert select_champions([x, y], by) == [x]
+        for by in (ChampionCriterion.BEST_ALPHA, "best-alpha"):
+            assert select_champions([x, y], by) == [y]
+        for by in ("nonsense", None, "BEST_RMAX"):
+            with pytest.raises(ValueError):
+                select_champions([x, y], by)
+
 
 class TestSemilogFit:
     def test_recovers_planted_line(self):

@@ -1,10 +1,12 @@
-"""The domain guards: one rule for "a finite real number in range".
+"""The domain guards: one rule for "a finite real number in range" and one for "an integer count".
 
 core's ``_require_fraction``, ``_require_positive`` and ``_require_nonnegative``
 replaced a set of inline checks. On floats each guard must accept exactly what
 the checks it replaced accepted; the reference copies below are those checks,
 kept as they were written. On any other value the guards, and the entry points
-that call them, must fail with ValueError and nothing else.
+that call them, must fail with ValueError and nothing else. ``_require_count``
+does the same for integer counts: each entry point accepts the ints it accepted
+before, numpy ints among them, and rejects every other value with ValueError.
 """
 
 from __future__ import annotations
@@ -12,21 +14,35 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amdahl.core import (
+    AlphaEstimate,
     Efficiency,
+    EstimationMethod,
     Speedup,
     _require_fraction,
     _require_nonnegative,
     _require_positive,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
+    alpha_from_two_efficiencies,
     alpha_from_two_timings,
+    efficiency_from_alpha,
+    speedup_from_alpha,
 )
-from amdahl.dataset import Architecture, Benchmark, MachineRecord
+from amdahl.dataset import (
+    Architecture,
+    Benchmark,
+    ChampionCriterion,
+    MachineRecord,
+    select_champions,
+    yearly_mean_efficiency,
+)
+from amdahl.errors import DegenerateCoresError, InvalidWorkloadError, ModelError
 from amdahl.projection import (
     ContributionBudget,
     ScalingScenario,
@@ -34,6 +50,7 @@ from amdahl.projection import (
     project_curve,
     required_one_minus_alpha,
 )
+from amdahl.workload import ParallelPhase, SequentialPhase, WorkloadSpec, sweep_alpha_eff
 
 
 # Reference copies of the replaced checks; each returns True where the old code raised.
@@ -215,3 +232,172 @@ def test_an_int_beyond_the_float_range_is_not_converted_before_the_check():
     # Accepted numbers are stored as floats.
     assert type(alpha_eff_from_speedup(2, 3).one_minus_alpha) is float
     assert type(Speedup(2).value) is float and type(Efficiency(1).value) is float
+
+
+# The count guard, core._require_count, replaced core._require_cores,
+# workload._require_processors and five inline checks. Each reference below is
+# the range of ints the replaced check accepted at that entry point.
+MAX_CORES = int(sys.float_info.max)
+
+
+def cores(k):  # core._require_cores(k, 1)
+    return 1 <= k <= MAX_CORES
+
+
+def inverts(k):  # core._require_cores(k, 2)
+    return 2 <= k <= MAX_CORES
+
+
+def positive(k):  # rank < 1, top < 1, top_n < 1
+    return k >= 1
+
+
+RECORD = MachineRecord(2017, 1, "x", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HPL)
+TEMPLATE = WorkloadSpec(2, (SequentialPhase(1.0), ParallelPhase((1.0, 2.0))))
+COUNT_ENTRY_POINTS = {
+    # name: (call, the ints it accepted, whether None means "no count" there)
+    "AlphaEstimate": (lambda v: AlphaEstimate(0.5, EstimationMethod.ASSUMED, v), cores, True),
+    "speedup_from_alpha": (lambda v: speedup_from_alpha(0.5, v), cores, False),
+    "efficiency_from_alpha": (lambda v: efficiency_from_alpha(0.5, v), cores, False),
+    "alpha_eff_from_speedup": (lambda v: alpha_eff_from_speedup(1.0, v), inverts, False),
+    "alpha_eff_from_efficiency": (lambda v: alpha_eff_from_efficiency(1.0, v), inverts, False),
+    # The other count is 2, which the two-point estimators refuse to repeat.
+    "alpha_from_two_efficiencies": (
+        lambda v: alpha_from_two_efficiencies(1.0, v, 1.0, 2), lambda k: cores(k) and k != 2, False
+    ),
+    "alpha_from_two_timings": (
+        lambda v: alpha_from_two_timings(1.0, 2, 1.0, v), lambda k: cores(k) and k != 2, False
+    ),
+    "MachineRecord-rank": (
+        lambda v: MachineRecord(2017, v, "x", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HPL),
+        positive,
+        False,
+    ),
+    "MachineRecord-cores": (
+        lambda v: MachineRecord(2017, 1, "x", Architecture.MPP, v, 1.0, 2.0, Benchmark.HPL),
+        cores,
+        False,
+    ),
+    "project_curve": (lambda v: project_curve(v, 1.0, 0.1, [1.0]), cores, False),
+    "ScalingScenario-base": (
+        lambda v: ScalingScenario(0.1, v, target_cores=8, target_rpeak=1.0), cores, False
+    ),
+    # None leaves the target to be derived, which needs base_rpeak.
+    "ScalingScenario-target": (
+        lambda v: ScalingScenario(0.1, 4, target_cores=v, target_rpeak=1.0, base_rpeak=1.0),
+        cores,
+        True,
+    ),
+    # points < 2, then the separate cap of 10**6 points
+    "geometric_grid": (lambda v: geometric_grid(1.0, 2.0, v), lambda k: 2 <= k <= 10**6, False),
+    "select_champions": (
+        lambda v: select_champions([RECORD], ChampionCriterion.BEST_RMAX, top=v), positive, True
+    ),
+    "yearly_mean_efficiency": (lambda v: yearly_mean_efficiency([RECORD], v), positive, False),
+    "WorkloadSpec": (
+        lambda v: WorkloadSpec(v, (SequentialPhase(1.0),)), lambda k: 1 <= k <= sys.maxsize, False
+    ),
+    "sweep_alpha_eff": (
+        lambda v: sweep_alpha_eff(v, TEMPLATE, [0.0], [1.0]), lambda k: 2 <= k <= sys.maxsize, False
+    ),
+}
+
+# Ints are drawn at most 64 or beyond the grid's cap of 10**6 points, so that no
+# accepted count builds a large grid.
+counts = st.one_of(
+    st.integers(min_value=-3, max_value=64),
+    st.integers(min_value=10**6 + 1, max_value=2**15000),
+    st.integers(min_value=-(2**15000), max_value=-1),
+    st.integers(min_value=-3, max_value=64).map(np.int64),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=8),
+)
+edge_counts = [
+    0, 1, 2, 3, MAX_CORES, MAX_CORES + 1, sys.maxsize, sys.maxsize + 1, 10**6 + 1,
+    10**5000, -(10**5000), np.int64(2), np.int64(2**63 - 1), np.int64(0), True, False,
+    2.0, 2.5, math.nan, math.inf, -math.inf, None, "2", "",
+]
+
+
+@pytest.mark.parametrize(
+    "call, accepts, none_ok", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS.keys()
+)
+@given(value=counts)
+@with_examples(edge_counts)
+def test_count_entry_points_accept_exactly_the_ints_they_accepted(call, accepts, none_ok, value):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        expected = accepts(int(value))
+    else:
+        expected = none_ok and value is None
+    try:
+        call(value)
+    except ValueError:
+        assert not expected
+    else:
+        assert expected
+
+
+# Each returned a value for a count that is no integer, or raised TypeError,
+# before the count guard.
+BAD_COUNT_CALLS = {
+    "speedup_from_alpha-float": lambda: speedup_from_alpha(0.5, 2.5),
+    "speedup_from_alpha-bool": lambda: speedup_from_alpha(0.5, True),
+    "MachineRecord-rank": lambda: MachineRecord(
+        2017, 1.5, "x", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HPL
+    ),
+    "MachineRecord-cores": lambda: MachineRecord(
+        2017, 1, "x", Architecture.MPP, 2.5, 1.0, 2.0, Benchmark.HPL
+    ),
+    "alpha_eff_from_speedup": lambda: alpha_eff_from_speedup(2.0, None),
+    "project_curve": lambda: project_curve("2", 1.0, 0.1, [1.0]),
+    "select_champions": lambda: select_champions([RECORD], ChampionCriterion.BEST_RMAX, top="2"),
+    "AlphaEstimate": lambda: AlphaEstimate(0.5, EstimationMethod.ASSUMED, "4"),
+    "sweep_alpha_eff": lambda: sweep_alpha_eff("3", TEMPLATE, [0.0], [1.0]),
+    "yearly_mean_efficiency": lambda: yearly_mean_efficiency([RECORD], 2.5),
+    "geometric_grid": lambda: geometric_grid(1.0, 2.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNT_CALLS.values(), ids=BAD_COUNT_CALLS.keys())
+def test_a_count_that_is_no_integer_raises_value_error(call):
+    with pytest.raises(ValueError, match=r" must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: speedup_from_alpha(0.5, 0), ValueError, "cores must be >= 1, got 0"),
+        (lambda: speedup_from_alpha(0.5, np.int64(0)), ValueError, "cores must be >= 1, got 0"),
+        (lambda: speedup_from_alpha(0.5, -(10**400)), ValueError,
+         "cores must be >= 1, got a 1329-bit integer"),
+        (lambda: speedup_from_alpha(0.5, math.inf), ModelError,
+         "cores must be <= 1.7976931348623157e+308, got inf"),
+        (lambda: speedup_from_alpha(0.5, 10**400), ModelError,
+         "cores must be <= 1.7976931348623157e+308, got a 1329-bit integer"),
+        (lambda: speedup_from_alpha(0.5, math.nan), ValueError,
+         "cores must be an integer, got nan"),
+        (lambda: alpha_eff_from_efficiency(0.9, 1), DegenerateCoresError,
+         "needs at least 2 processors to invert, got 1"),
+        (lambda: WorkloadSpec("4", (SequentialPhase(1.0),)), InvalidWorkloadError,
+         "processors must be an integer, got '4'"),
+        (lambda: WorkloadSpec(sys.maxsize + 1, (SequentialPhase(1.0),)), InvalidWorkloadError,
+         f"processors must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
+        (lambda: sweep_alpha_eff(1, TEMPLATE, [0.0], [1.0]), ValueError,
+         "a sweep needs at least 2 processors to define alpha_eff, got 1"),
+        (lambda: sweep_alpha_eff(10**20, TEMPLATE, [0.0], [1.0]), InvalidWorkloadError,
+         f"processors must be <= {sys.maxsize}, got {10**20}"),
+        (lambda: geometric_grid(1.0, 2.0, 1), ValueError, "a grid needs at least 2 points, got 1"),
+        (lambda: geometric_grid(1.0, 2.0, 10**6 + 1), ModelError,
+         "a grid has at most 1000000 points, got 1000001"),
+        (lambda: yearly_mean_efficiency([RECORD], 0), ValueError, "top_n must be >= 1, got 0"),
+        (lambda: MachineRecord(2017, True, "x", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HPL),
+         ValueError, "rank must be an integer, got True"),
+    ],
+)
+def test_count_messages(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
