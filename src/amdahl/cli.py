@@ -24,8 +24,6 @@ only what it uses.
 from __future__ import annotations
 
 import argparse
-import csv
-import shlex
 import sys
 from typing import IO, Callable, Sequence
 
@@ -116,12 +114,15 @@ def _ratio_list(text: str) -> list[float]:
 
 
 class _Output:
-    """Shared rendering: scalar blocks and row tables in table or csv mode."""
+    """Shared rendering: scalar blocks and row tables in table or csv mode.
 
-    def __init__(self, fmt: str, precision: int, command_line: str, out: IO[str]) -> None:
+    Only csv output loads ``csv``, and ``shlex`` for the command line it echoes.
+    """
+
+    def __init__(self, fmt: str, precision: int, argv: Sequence[str], out: IO[str]) -> None:
         self.fmt = fmt
         self.precision = precision
-        self.command_line = command_line
+        self.argv = argv
         self.out = out
 
     @property
@@ -152,10 +153,16 @@ class _Output:
                 break
         return f"{self.number(value)} {unit} ({human})"
 
-    def comment(self, text: str) -> None:
-        # Every line of the text is marked, so a line break inside it cannot end the comment.
-        for line in text.splitlines():
-            self.out.write(f"# {line}\n")
+    def _csv_writer(self, comments: Sequence[str]):
+        """Write the csv comment lines, the command line then ``comments``; return a row writer."""
+        import csv
+        import shlex
+
+        from .core import _comment_lines
+
+        for text in ("amdahl " + shlex.join(self.argv), *comments):
+            self.out.write(_comment_lines(text))
+        return csv.writer(self.out, lineterminator="\n")
 
     def scalars(self, pairs: Sequence[tuple[str, object]]) -> None:
         cells = [(key, self.cell(value)) for key, value in pairs]
@@ -164,8 +171,7 @@ class _Output:
             for key, value in cells:
                 self.out.write(f"{key:<{width}}  {value}\n")
         else:
-            self.comment(self.command_line)
-            writer = csv.writer(self.out, lineterminator="\n")
+            writer = self._csv_writer(())
             writer.writerow([key for key, _ in cells])
             writer.writerow([value for _, value in cells])
 
@@ -188,10 +194,7 @@ class _Output:
             for r in text_rows:
                 self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
         else:
-            self.comment(self.command_line)
-            for line in comments:
-                self.comment(line)
-            writer = csv.writer(self.out, lineterminator="\n")
+            writer = self._csv_writer(comments)
             writer.writerow(headers)
             writer.writerows(text_rows)
 
@@ -631,7 +634,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     output = _Output(
         fmt=args.format,
         precision=args.precision,
-        command_line="amdahl " + shlex.join(argv_list),
+        argv=argv_list,
         out=sys.stdout,
     )
     try:

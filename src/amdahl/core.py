@@ -194,6 +194,11 @@ def _shown(x: object) -> str:
     return repr(x)
 
 
+def _comment_lines(text: str) -> str:
+    """Text as csv comment lines: "# " before every line, so a line break cannot end the comment."""
+    return "".join(f"# {line}\n" for line in text.splitlines())
+
+
 # The guards take any object; a float skips the call to _finite.
 def _require_fraction(one_minus_alpha: object, name: str = "one_minus_alpha") -> None:
     number = one_minus_alpha if type(one_minus_alpha) is float else _finite(one_minus_alpha)
@@ -220,6 +225,50 @@ def _snap_to_unit(x: float) -> float:
     return x
 
 
+# The kernels: one per formula, numbers in and a number out, with no checks. Each
+# is the one place its expression is evaluated. The public functions below check
+# their inputs and then call the kernel; the hot loops (sweep grid points, record
+# derivation, curve projection) call the kernels on values that a value type or an
+# earlier check has already validated.
+def _from_speedup(s: float, k: int) -> float:
+    """1 - alpha of speedup s on k processors, for 2 <= k and 1 <= s <= k."""
+    return _snap_to_unit((k - s) / ((k - 1) * s))
+
+
+def _from_inverse_excess(ie: float, k: int) -> float:
+    """1 - alpha of an efficiency with inverse excess ie = 1/E - 1 on k >= 2 processors.
+
+    Exceeds 1 where E < 1/k.
+    """
+    return _snap_to_unit(ie / (k - 1))
+
+
+def _two_point_slope(ie1: float, k1: int, ie2: float, k2: int) -> float:
+    """The slope of 1/E(k) between two measurements, for k1 != k2."""
+    return (ie2 - ie1) / (k2 - k1)
+
+
+def _from_two_timings(ratio: float, k1: int, k2: int) -> float:
+    """The serial fraction x solving t1/t2 = ratio, T(k) being proportional to x * (1 - 1/k) + 1/k.
+
+    Raises ZeroDivisionError where the ratio has no finite solution, whatever
+    the number types.
+    """
+    numer = ratio / k2 - 1.0 / k1
+    denom = (1.0 - 1.0 / k1) - ratio * (1.0 - 1.0 / k2)
+    if denom == 0.0:
+        raise ZeroDivisionError("the timing ratio has no finite solution")
+    return _snap_to_unit(numer / denom)
+
+
+def _efficiency(x: float, k: int) -> float:
+    """Efficiency of serial fraction x on k processors, 1 / (1 + (k - 1) * x).
+
+    The grouping makes the denominator's excess over 1 exact.
+    """
+    return 1.0 / (1.0 + (k - 1) * x)
+
+
 def speedup_from_alpha(one_minus_alpha: float, cores: int) -> Speedup:
     """Forward model: the speedup of a (1 - alpha) serial fraction on ``cores`` processors."""
     _require_count(cores, "cores", 1)
@@ -237,8 +286,9 @@ def efficiency_from_alpha(one_minus_alpha: float, cores: int) -> Efficiency:
     """
     _require_count(cores, "cores", 1)
     _require_fraction(one_minus_alpha)
-    excess = (cores - 1) * one_minus_alpha
-    return Efficiency(value=1.0 / (1.0 + excess), inverse_excess=excess)
+    return Efficiency(
+        value=_efficiency(one_minus_alpha, cores), inverse_excess=(cores - 1) * one_minus_alpha
+    )
 
 
 def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimate:
@@ -261,8 +311,7 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
         )
     if s < 1.0:
         raise ValueError(f"speedup below 1 is a slowdown the model cannot express: {s!r}")
-    one_minus = _snap_to_unit((cores - s) / ((cores - 1) * s))
-    return AlphaEstimate(one_minus, EstimationMethod.FROM_SPEEDUP, cores)
+    return AlphaEstimate(_from_speedup(s, cores), EstimationMethod.FROM_SPEEDUP, cores)
 
 
 def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> AlphaEstimate:
@@ -280,7 +329,7 @@ def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> Alp
     """
     e = _coerce_efficiency(efficiency)
     _require_count(cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError)
-    one_minus = _snap_to_unit(e.inverse_excess / (cores - 1))
+    one_minus = _from_inverse_excess(e.inverse_excess, cores)
     if one_minus > 1.0:
         raise InfeasibleTargetError(
             f"efficiency {e.value!r} is below 1/{cores}, a slowdown the model cannot express"
@@ -308,7 +357,7 @@ def alpha_from_two_efficiencies(
     _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two measurements must use different processor counts")
-    slope = (eb.inverse_excess - ea.inverse_excess) / (k2 - k1)
+    slope = _two_point_slope(ea.inverse_excess, k1, eb.inverse_excess, k2)
     if slope < 0.0 or slope >= 1.0:
         raise InconsistentMeasurementsError(
             f"two-point slope {slope!r} admits no parallel fraction in (0, 1]"
@@ -333,14 +382,12 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
     _require_positive(t1, "t1")
     _require_positive(t2, "t2")
     ratio = t1 / t2
-    # T(k) is proportional to x * (1 - 1/k) + 1/k with x = 1 - alpha.
-    numer = ratio / k2 - 1.0 / k1
-    denom = (1.0 - 1.0 / k1) - ratio * (1.0 - 1.0 / k2)
-    if denom == 0.0:
+    try:
+        x = _from_two_timings(ratio, k1, k2)
+    except ZeroDivisionError:
         raise InconsistentMeasurementsError(
             f"timing ratio {ratio!r} at counts {k1} and {k2} has no finite solution"
-        )
-    x = _snap_to_unit(numer / denom)
+        ) from None
     if not 0.0 <= x <= 1.0:
         raise InconsistentMeasurementsError(
             f"timing ratio {ratio!r} at counts {k1} and {k2} implies serial fraction {x!r}"

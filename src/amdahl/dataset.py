@@ -24,11 +24,21 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .core import Efficiency, _Checked, _require_count, _require_positive, alpha_eff_from_efficiency
+from .core import (
+    Efficiency,
+    _Checked,
+    _comment_lines,
+    _from_inverse_excess,
+    _require_count,
+    _require_positive,
+    _shown,
+    alpha_eff_from_efficiency,
+)
 from .errors import (
     DegenerateDataError,
     MalformedRowError,
     MissingHeaderError,
+    ModelError,
     NonPositiveValueError,
 )
 
@@ -53,6 +63,9 @@ __all__ = [
 _HEADER = ("year", "rank", "name", "arch", "cores", "rmax_gflops", "rpeak_gflops", "benchmark")
 # The file columns plus the derived pair that write_records and `amdahl timeline` add.
 _COLUMNS = _HEADER + ("efficiency", "one_minus_alpha_eff")
+# The largest |x| fit_semilog takes: the squared deviations of such values, summed
+# over up to 10**7 points, stay inside the float range.
+_MAX_FIT_X = 1e150
 
 
 class Architecture(Enum):
@@ -180,7 +193,7 @@ def write_records(
     """
     writer = csv.writer(stream, lineterminator="\n")
     if comment:
-        stream.write(f"# {comment}\n")
+        stream.write(_comment_lines(comment))
     writer.writerow(_COLUMNS if derived else _HEADER)
     # csv writes each float as str(), its shortest round-trip form, also for a
     # float subclass whose repr() is not a number, such as numpy's float64.
@@ -198,9 +211,14 @@ def _record_row(r: MachineRecord, derived: bool) -> list:
 
 def derive(record: MachineRecord) -> DerivedMetrics:
     """Efficiency rmax/rpeak and the serial fraction it implies at the record's core count."""
-    eff = Efficiency(record.rmax / record.rpeak)
-    estimate = alpha_eff_from_efficiency(eff, record.cores)
-    return DerivedMetrics(efficiency=eff, one_minus_alpha_eff=estimate.one_minus_alpha)
+    eff = Efficiency(record.rmax / record.rpeak)  # raises where rmax / rpeak underflows to 0
+    k = record.cores  # an integer >= 1: the record checked it
+    if k > 1:
+        one_minus = _from_inverse_excess(eff.inverse_excess, k)
+        if one_minus <= 1.0:
+            return DerivedMetrics(efficiency=eff, one_minus_alpha_eff=one_minus)
+    # One core, or E < 1/k: the checked inversion raises its error.
+    return DerivedMetrics(eff, alpha_eff_from_efficiency(eff, k).one_minus_alpha)
 
 
 def _year_cohorts(records: Iterable[MachineRecord], top: int | None) -> list[list[MachineRecord]]:
@@ -253,6 +271,7 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
 
     Raises:
         NonPositiveValueError: some y is not strictly positive.
+        ModelError: some x is not finite or exceeds 1e150 in magnitude.
         DegenerateDataError: all x are identical, no slope exists.
         ValueError: fewer than two points.
     """
@@ -261,7 +280,13 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     for x, y in points:
         if not math.isfinite(y) or y <= 0.0:
             raise NonPositiveValueError(f"cannot take log10 of {y!r}")
-        xs.append(float(x))
+        try:
+            fx = float(x)
+        except OverflowError:  # an int beyond the float range
+            fx = math.inf
+        if not abs(fx) <= _MAX_FIT_X:
+            raise ModelError(f"x must be finite and at most 1e150 in magnitude, got {_shown(x)}")
+        xs.append(fx)
         ys.append(math.log10(y))
     n = len(xs)
     if n < 2:

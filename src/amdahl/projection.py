@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 from .core import (
     Efficiency,
     _Checked,
+    _efficiency,
     _require_count,
     _require_fraction,
     _require_nonnegative,
@@ -108,13 +109,15 @@ def project_curve(
     _require_count(base_cores, "cores", 1)
     _require_fraction(one_minus_alpha)
     _require_positive(base_rpeak, "base_rpeak")
+    # As a float, the fraction gives each efficiency as a float, as Efficiency would.
+    x = float(one_minus_alpha)
 
     points = []
     for rp in rpeak_grid:
         _require_positive(rp, "grid rpeak")
-        cores = _cores_at(rp, base_cores, base_rpeak)
-        eff = efficiency_from_alpha(one_minus_alpha, cores)
-        points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=eff.value, rmax=eff.value * rp))
+        cores = _cores_at(rp, base_cores, base_rpeak)  # in [1, the float range]
+        e = _efficiency(x, cores)
+        points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=e, rmax=e * rp))
     return points
 
 

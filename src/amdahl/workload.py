@@ -38,10 +38,10 @@ from .core import (
     Speedup,
     _Checked,
     _finite,
+    _from_speedup,
     _require_count,
     _require_nonnegative,
     _require_positive,
-    alpha_eff_from_speedup,
 )
 from .errors import InvalidTemplateError, InvalidWorkloadError, ModelError
 
@@ -228,8 +228,9 @@ def _simulated_fraction(speedup: float, k: int) -> float | None:
     if k < 2 or speedup < 1.0:
         return None
     # Summation rounding can leave S a few ulp above k; the schedule itself
-    # can never beat k processors, so clamp before inverting.
-    return alpha_eff_from_speedup(min(speedup, float(k)), k).one_minus_alpha
+    # can never beat k processors, so clamp before inverting. The workload's
+    # checks keep S finite, so the clamped value is a valid speedup on k.
+    return _from_speedup(min(speedup, float(k)), k)
 
 
 class SweepPoint(NamedTuple):
@@ -337,6 +338,8 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
             "a number in the workload file is too long to read "
             f"(more than {sys.get_int_max_str_digits()} digits)"
         ) from None
+    except RecursionError:
+        raise InvalidWorkloadError("workload file nests its arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise InvalidWorkloadError("workload file must contain a JSON object")
 

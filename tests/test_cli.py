@@ -186,6 +186,19 @@ class TestSimulate:
         code, _, err = cli(capsys, "simulate", "--workload", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate",), ("sweep", "--overhead", "0", "--sequential", "0")],
+        ids=lambda argv: argv[0],
+    )
+    def test_nesting_too_deep_to_read_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = cli(capsys, argv[0], "--workload", str(path), *argv[1:])
+        assert (code, out, err) == (
+            2, "", "error: workload file nests its arrays or objects too deeply\n"
+        )
+
     def test_phase_that_is_not_an_object_exits_2(self, capsys, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text('{"processors": 2, "phases": [1]}', encoding="utf-8")

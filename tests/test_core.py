@@ -13,6 +13,11 @@ from amdahl.core import (
     Efficiency,
     EstimationMethod,
     Speedup,
+    _efficiency,
+    _from_inverse_excess,
+    _from_speedup,
+    _from_two_timings,
+    _two_point_slope,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
     alpha_from_two_efficiencies,
@@ -285,3 +290,81 @@ class TestMaxSpeedup:
     def test_dominates_any_finite_machine(self, one_minus_alpha, cores):
         s = speedup_from_alpha(one_minus_alpha, cores).value
         assert s <= max_speedup(one_minus_alpha) * (1.0 + 1e-12)
+
+
+def same_bits(a: float, b: float) -> bool:
+    """a and b are the same float, bit for bit (repr is the shortest round trip)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+wide_counts = st.one_of(core_counts, st.integers(min_value=2, max_value=2**70))
+
+
+class TestKernels:
+    """Each kernel gives exactly what its public function reads on valid inputs."""
+
+    @given(wide_counts, st.data())
+    def test_from_speedup(self, cores, data):
+        s = data.draw(st.floats(min_value=1.0, max_value=float(cores)))
+        assert same_bits(_from_speedup(s, cores), alpha_eff_from_speedup(s, cores).one_minus_alpha)
+
+    @given(wide_counts, st.data())
+    def test_from_inverse_excess(self, cores, data):
+        e = Efficiency(data.draw(st.floats(min_value=1.0 / cores, max_value=1.0)))
+        expected = alpha_eff_from_efficiency(e, cores).one_minus_alpha
+        assert same_bits(_from_inverse_excess(e.inverse_excess, cores), expected)
+
+    @given(fractions, wide_counts)
+    def test_from_inverse_excess_of_a_modeled_efficiency(self, one_minus_alpha, cores):
+        e = efficiency_from_alpha(one_minus_alpha, cores)
+        expected = alpha_eff_from_efficiency(e, cores).one_minus_alpha
+        assert same_bits(_from_inverse_excess(e.inverse_excess, cores), expected)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_two_point_slope(self, one_minus_alpha, k1, k2):
+        if k1 == k2:
+            k2 += 1
+        e1 = efficiency_from_alpha(one_minus_alpha, k1)
+        e2 = efficiency_from_alpha(one_minus_alpha, k2)
+        slope = _two_point_slope(e1.inverse_excess, k1, e2.inverse_excess, k2)
+        if 0.0 <= slope < 1.0:
+            expected = alpha_from_two_efficiencies(e1, k1, e2, k2).one_minus_alpha
+            assert same_bits(slope, expected)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_from_two_timings(self, one_minus_alpha, k1, k2):
+        if k1 == k2:
+            k2 += 1
+        t1 = one_minus_alpha * (1.0 - 1.0 / k1) + 1.0 / k1
+        t2 = one_minus_alpha * (1.0 - 1.0 / k2) + 1.0 / k2
+        try:
+            x = _from_two_timings(t1 / t2, k1, k2)
+        except ZeroDivisionError:
+            with pytest.raises(InconsistentMeasurementsError, match="has no finite solution$"):
+                alpha_from_two_timings(t1, k1, t2, k2)
+            return
+        if 0.0 <= x <= 1.0:
+            assert same_bits(x, alpha_from_two_timings(t1, k1, t2, k2).one_minus_alpha)
+
+    def test_from_two_timings_pole(self):
+        # t1/t2 = (1 - 1/2) / (1 - 1/4): the denominator vanishes.
+        with pytest.raises(ZeroDivisionError):
+            _from_two_timings(2.0 / 3.0, 2, 4)
+        with pytest.raises(
+            InconsistentMeasurementsError,
+            match=r"^timing ratio 0\.6666666666666666 at counts 2 and 4 has no finite solution$",
+        ):
+            alpha_from_two_timings(2.0, 2, 3.0, 4)
+
+    @given(fractions, st.one_of(st.integers(min_value=1, max_value=10**7), wide_counts))
+    def test_efficiency(self, one_minus_alpha, cores):
+        expected = efficiency_from_alpha(one_minus_alpha, cores).value
+        assert same_bits(_efficiency(one_minus_alpha, cores), expected)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amdahl.core import efficiency_from_alpha
+from amdahl.core import Efficiency, alpha_eff_from_efficiency, efficiency_from_alpha
 from amdahl.dataset import (
     Architecture,
     Benchmark,
     ChampionCriterion,
+    DerivedMetrics,
     MachineRecord,
     derive,
     fit_semilog,
@@ -28,8 +29,10 @@ from amdahl.dataset import (
 from amdahl.errors import (
     DegenerateCoresError,
     DegenerateDataError,
+    InfeasibleTargetError,
     MalformedRowError,
     MissingHeaderError,
+    ModelError,
     NonPositiveValueError,
 )
 
@@ -174,6 +177,19 @@ class TestWriting:
         write_records([record()], buffer, comment="amdahl table --input x.csv")
         assert buffer.getvalue().startswith("# amdahl table --input x.csv\n")
 
+    @pytest.mark.parametrize(
+        "comment", ["made by\nsomeone", "two\r\nlines\n", "\n", "a\rb\x0cc"]
+    )
+    def test_comment_with_line_breaks_round_trips(self, comment):
+        original = [record(), record(name="Other", rank=2)]
+        buffer = io.StringIO()
+        write_records(original, buffer, comment=comment, derived=True)
+        lines = buffer.getvalue().splitlines()
+        header = lines.index(",".join((HEADER, "efficiency,one_minus_alpha_eff")))
+        assert header == len(comment.splitlines())
+        assert all(line.startswith("# ") for line in lines[:header])
+        assert parse_records(io.StringIO(buffer.getvalue())) == original
+
 
 class TestDerive:
     def test_reference_values(self):
@@ -191,6 +207,49 @@ class TestDerive:
     def test_single_core_cannot_be_inverted(self):
         with pytest.raises(DegenerateCoresError):
             derive(record(cores=1, rmax=500.0, rpeak=1000.0))
+
+    @pytest.mark.parametrize(
+        ("fields", "error", "message"),
+        [
+            ({"cores": 1}, DegenerateCoresError, "needs at least 2 processors to invert, got 1"),
+            ({"cores": 4, "rmax": 0.2, "rpeak": 1.0}, InfeasibleTargetError,
+             "efficiency 0.2 is below 1/4, a slowdown the model cannot express"),
+            # E = 5e-324 has an infinite inverse excess
+            ({"cores": 4, "rmax": 5e-324, "rpeak": 1.0}, InfeasibleTargetError,
+             "efficiency 5e-324 is below 1/4, a slowdown the model cannot express"),
+            ({"rmax": 5e-324, "rpeak": 1e300}, ValueError,
+             "efficiency must be finite and > 0, got 0.0"),
+        ],
+        ids=["one-core", "below-one-over-k", "inverse-excess-overflows", "efficiency-underflows"],
+    )
+    def test_errors(self, fields, error, message):
+        with pytest.raises(ValueError) as excinfo:
+            derive(record(**fields))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+    def test_efficiency_at_one_over_k_is_fully_serial(self):
+        assert derive(record(cores=4, rmax=0.25, rpeak=1.0)).one_minus_alpha_eff == 1.0
+
+    @given(
+        st.integers(min_value=1, max_value=10**7) | st.integers(min_value=2, max_value=2**70),
+        st.floats(min_value=5e-324, max_value=1e300),
+        st.floats(min_value=5e-324, max_value=1e300),
+    )
+    def test_matches_the_checked_inversion(self, cores, a, b):
+        r = record(cores=cores, rmax=min(a, b), rpeak=max(a, b))
+
+        def checked():
+            eff = Efficiency(r.rmax / r.rpeak)
+            return DerivedMetrics(eff, alpha_eff_from_efficiency(eff, r.cores).one_minus_alpha)
+
+        def outcome(f):
+            try:
+                return repr(f())
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: derive(r)) == outcome(checked)
 
     def test_forward_model_reproduces_fixture_efficiencies(self):
         for name in ("top500_2017_hpl.csv", "top500_2017_hpcg.csv", "early_linpack_1992.csv"):
@@ -298,6 +357,22 @@ class TestSemilogFit:
             fit_semilog([(3.0, 1.0), (3.0, 2.0)])
         with pytest.raises(ValueError):
             fit_semilog([(0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        ("x", "shown"),
+        [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**200, str(10**200)),
+         (-1e151, "-1e+151"), (10**400, "a 1329-bit integer")],
+        ids=["nan", "inf", "-inf", "1e200-int", "-1e151", "int-beyond-float"],
+    )
+    def test_rejects_x_that_is_not_finite_or_too_large(self, x, shown):
+        with pytest.raises(ModelError) as excinfo:
+            fit_semilog([(2000.0, 1.0), (x, 2.0), (2010.0, 3.0)])
+        assert str(excinfo.value) == f"x must be finite and at most 1e150 in magnitude, got {shown}"
+
+    def test_largest_x_fits(self):
+        fit = fit_semilog([(-1e150, 1.0), (1e150, 100.0)])
+        assert fit.slope == pytest.approx(1e-150)
+        assert fit.intercept == pytest.approx(1.0)
 
     @given(
         st.lists(

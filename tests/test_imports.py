@@ -170,5 +170,12 @@ class TestSubcommandImports:
         assert code == "0"
         assert not {"dataclasses", "inspect"} & set(loaded)
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_only_csv_output_loads_csv_and_shlex(self, fmt):
+        code, *loaded = fresh_modules(RUN_CLI, "--format", fmt, "alpha", "--efficiency", "0.5",
+                                      "--cores", "8")
+        assert code == "0"
+        assert {"csv", "shlex"} & set(loaded) == ({"csv", "shlex"} if fmt == "csv" else set())
+
     def test_select_choices_are_the_champion_criteria(self):
         assert cli._CHAMPION_CRITERIA == tuple(c.value for c in ChampionCriterion)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amdahl.core import efficiency_from_alpha
+import numpy as np
+
+from amdahl.core import Efficiency, efficiency_from_alpha
 from amdahl.projection import (
     SPEED_OF_LIGHT_M_PER_S,
     ContributionBudget,
@@ -159,6 +161,32 @@ class TestProjectCurve:
             project_curve(10, 100.0, 1.5, [1.0])
         with pytest.raises(ValueError):
             project_curve(10, 100.0, 0.01, [1.0, 0.0])
+
+    @given(
+        st.one_of(fractions, fractions.map(np.float64), st.sampled_from([0, 1])),
+        core_counts,
+        st.floats(min_value=1e-3, max_value=1e6),
+        st.lists(st.floats(min_value=1e-300, max_value=1e290), max_size=8),
+    )
+    def test_points_equal_the_checked_forward_model(self, oma, base_cores, base_rpeak, grid):
+        points = project_curve(base_cores, base_rpeak, oma, grid)
+        expected = []
+        for rp, point in zip(grid, points):
+            e = efficiency_from_alpha(oma, point.cores).value
+            expected.append(repr((rp, point.cores, e, e * rp)))
+        assert [repr(tuple(p)) for p in points] == expected
+
+    def test_grid_points_build_no_efficiency(self, monkeypatch):
+        built = []
+        original = Efficiency.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Efficiency, "__new__", counting)
+        assert len(project_curve(1000, 100.0, 0.01, geometric_grid(1.0, 1e6, 50))) == 50
+        assert built == []
 
     @given(fractions, fractions, core_counts)
     def test_smaller_serial_fraction_never_hurts(self, a, b, base_cores):

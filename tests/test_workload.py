@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from amdahl.core import EstimationMethod
+from amdahl.core import AlphaEstimate, Efficiency, EstimationMethod, Speedup, alpha_eff_from_speedup
 from amdahl.dataset import fixture_path
 from amdahl.workload import (
     _MAX_PROCESSORS,
@@ -515,6 +515,55 @@ class TestSweepMatchesSimulation:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def checked_points(template, processors, overheads, sequentials):
+    """The sweep's grid, each point inverted by the checked public function.
+
+    The times follow the sweep's own formulas, from the span that simulate
+    measures for the parallel phase alone on an idle machine.
+    """
+    base = next(p for p in template.phases if isinstance(p, ParallelPhase))
+    span = simulate(WorkloadSpec(processors, (ParallelPhase(base.chunks),))).parallel_time
+    base_total = base.dispatch_overhead + base.collect_overhead
+    share = base.dispatch_overhead / base_total if base_total > 0.0 else 0.5
+    durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
+    points = []
+    for o in overheads:
+        total = o * max(base.chunks)
+        for seq in sequentials:
+            seq_time = sum(d * seq for d in durations)
+            parallel_part = total * share + span + total * (1.0 - share)
+            s = (seq_time + sum(base.chunks)) / (seq_time + parallel_part)
+            points.append(
+                None if s < 1.0
+                else alpha_eff_from_speedup(min(s, float(processors)), processors).one_minus_alpha
+            )
+    return points
+
+
+class TestSweepMatchesCheckedInversion:
+    @given(st.one_of(exact_cases, float_cases))
+    def test_points_equal_the_public_inversion(self, case):
+        template, processors, overheads, sequentials = case
+        points = sweep_alpha_eff(processors, template, overheads, sequentials)
+        expected = checked_points(template, processors, overheads, sequentials)
+        assert [repr(p.one_minus_alpha_eff) for p in points] == [repr(x) for x in expected]
+
+    def test_grid_points_build_no_value_objects(self, monkeypatch):
+        built = []
+        for cls in (AlphaEstimate, Speedup, Efficiency):
+            original = cls.__new__
+
+            def counting(cls_, *args, _original=original, **kwargs):
+                built.append(cls_.__name__)
+                return _original(cls_, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", counting)
+        points = sweep_alpha_eff(8, realistic_spec(), [0.1 * i for i in range(10)], [0.0, 0.5, 2.0])
+        assert len(points) == 30 and built == []
+        simulate(realistic_spec())
+        assert sorted(built) == ["AlphaEstimate", "Speedup"]  # the result's own, once per run
+
+
 class TestSweep:
     def test_requires_single_parallel_phase(self):
         no_parallel = WorkloadSpec(processors=2, phases=(SequentialPhase(1.0),))
@@ -709,6 +758,14 @@ class TestLoadWorkload:
         )
         with pytest.raises(InvalidWorkloadError, match="^processors must be <= "):
             load_workload(io.StringIO(text))
+
+    def test_nesting_too_deep_to_read_is_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(InvalidWorkloadError) as excinfo:
+                load_workload(fh)
+        assert str(excinfo.value) == "workload file nests its arrays or objects too deeply"
 
     def test_integer_too_long_to_read_is_rejected(self):
         text = '{"processors": 2, "phases": [{"type": "sequential", "duration": 1%s}]}' % (
