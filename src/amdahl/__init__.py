@@ -18,7 +18,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Home module of every public name, in the order of ``__all__``.
+# Home module of every public name, in the order of ``__all__``. This is the one
+# list of public names: the loader must find each name's home without importing
+# any module, so the table lives here and each home module's ``__all__`` reads
+# its own entry.
 _HOMES = {
     "core": (
         "AlphaEstimate",

@@ -364,12 +364,10 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
     records = read_records(args.input)
     champions = select_champions(records, args.select, top=args.top)
     rows = [_record_row(r, derived=True) for r in champions]
-    fit = None
-    if len({row[0] for row in rows}) >= 2:
-        try:
-            fit = fit_semilog([(float(row[0]), row[-1]) for row in rows])
-        except ValueError:
-            pass
+    try:
+        fit = fit_semilog([(row[0], row[-1]) for row in rows])
+    except ValueError:  # fewer than two champions, or no fit through them
+        fit = None
     comments = []
     if fit is not None:
         comments.append(

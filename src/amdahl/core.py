@@ -27,6 +27,7 @@ import sys
 from collections import namedtuple
 from enum import Enum
 
+from . import _HOMES
 from .errors import (
     DegenerateCoresError,
     InconsistentMeasurementsError,
@@ -36,19 +37,7 @@ from .errors import (
     UnboundedError,
 )
 
-__all__ = [
-    "EstimationMethod",
-    "AlphaEstimate",
-    "Speedup",
-    "Efficiency",
-    "speedup_from_alpha",
-    "efficiency_from_alpha",
-    "alpha_eff_from_speedup",
-    "alpha_eff_from_efficiency",
-    "alpha_from_two_efficiencies",
-    "alpha_from_two_timings",
-    "max_speedup",
-]
+__all__ = _HOMES["core"]
 
 # Slack applied when a computed fraction lands a few ulp above an exact
 # boundary (e.g. efficiency measured exactly at 1/k). Values beyond the slack
@@ -109,8 +98,7 @@ class Speedup(_Checked, namedtuple("Speedup", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
-        _require_positive(value, "speedup")
-        return tuple.__new__(cls, (float(value),))
+        return tuple.__new__(cls, (_require_positive(value, "speedup"),))
 
 
 class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
@@ -126,12 +114,13 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
     __slots__ = ()
 
     def __new__(cls, value: float, inverse_excess: float | None = None):
-        _require_positive(value, "efficiency")
+        number = _require_positive(value, "efficiency")
         if value > 1.0:
             raise SuperlinearError(
                 f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
         if inverse_excess is None:
+            # From the value as given: a numpy float keeps its type here and in derive.
             inverse_excess = (1.0 - value) / value
         else:
             _require_nonnegative(inverse_excess, "inverse_excess")
@@ -139,7 +128,7 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
                 raise ValueError(
                     f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
                 )
-        return tuple.__new__(cls, (float(value), inverse_excess))
+        return tuple.__new__(cls, (number, inverse_excess))
 
 
 # The value types check the raw number before storing it as a float, so an int
@@ -155,13 +144,13 @@ def _coerce_speedup(s: float | Speedup) -> Speedup:
 def _require_count(
     value: object, name: str, minimum: int, fewer: str | None = None, error: type = ValueError,
     maximum: float = _MAX_CORES, excess: type = ModelError,
-) -> None:
+) -> int:
     """Require an integer count in [minimum, maximum]: an int or any integer type, not a bool.
 
-    A count below ``minimum`` raises ``error`` saying ``fewer`` (by default
-    "<name> must be >= <minimum>"), and so does a value that is no integer; a count
-    above ``maximum`` raises ``excess``. A float outside the bounds is named by the
-    bound it breaks, so inf is too many rather than no integer.
+    Returns the count as an int. A count below ``minimum`` raises ``error`` saying
+    ``fewer`` (by default "<name> must be >= <minimum>"), and so does a value that is
+    no integer; a count above ``maximum`` raises ``excess``. A float outside the
+    bounds is named by the bound it breaks, so inf is too many rather than no integer.
     """
     if type(value) is not int:
         if hasattr(value, "__index__") and not isinstance(value, bool):
@@ -173,6 +162,7 @@ def _require_count(
     if value > maximum:
         bound = _FLOAT_MAX if maximum == _MAX_CORES else maximum  # the float range, as a float
         raise excess(f"{name} must be <= {bound!r}, got {_shown(value)}")
+    return value
 
 
 def _finite(x: object) -> float | None:
@@ -199,23 +189,27 @@ def _comment_lines(text: str) -> str:
     return "".join(f"# {line}\n" for line in text.splitlines())
 
 
-# The guards take any object; a float skips the call to _finite.
-def _require_fraction(one_minus_alpha: object, name: str = "one_minus_alpha") -> None:
+# The guards take any object and return the float they compared; a float skips
+# the call to _finite.
+def _require_fraction(one_minus_alpha: object, name: str = "one_minus_alpha") -> float:
     number = one_minus_alpha if type(one_minus_alpha) is float else _finite(one_minus_alpha)
     if number is None or not 0.0 <= number <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {_shown(one_minus_alpha)}")
+    return number
 
 
-def _require_positive(value: object, name: str) -> None:
+def _require_positive(value: object, name: str) -> float:
     number = value if type(value) is float else _finite(value)
     if number is None or not 0.0 < number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite and > 0, got {_shown(value)}")
+    return number
 
 
-def _require_nonnegative(value: object, name: str) -> None:
+def _require_nonnegative(value: object, name: str) -> float:
     number = value if type(value) is float else _finite(value)
     if number is None or not 0.0 <= number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite and >= 0, got {_shown(value)}")
+    return number
 
 
 def _snap_to_unit(x: float) -> float:
@@ -231,8 +225,15 @@ def _snap_to_unit(x: float) -> float:
 # derivation, curve projection) call the kernels on values that a value type or an
 # earlier check has already validated.
 def _from_speedup(s: float, k: int) -> float:
-    """1 - alpha of speedup s on k processors, for 2 <= k and 1 <= s <= k."""
-    return _snap_to_unit((k - s) / ((k - 1) * s))
+    """1 - alpha of speedup s on k processors, for 2 <= k and 1 <= s <= k.
+
+    Where (k - 1) * s passes the float range it divides twice instead, since the
+    overflowed product would turn the result into 0.
+    """
+    denom = (k - 1) * s
+    if denom > _FLOAT_MAX:
+        return _snap_to_unit((k - s) / (k - 1) / s)
+    return _snap_to_unit((k - s) / denom)
 
 
 def _from_inverse_excess(ie: float, k: int) -> float:
@@ -271,8 +272,8 @@ def _efficiency(x: float, k: int) -> float:
 
 def speedup_from_alpha(one_minus_alpha: float, cores: int) -> Speedup:
     """Forward model: the speedup of a (1 - alpha) serial fraction on ``cores`` processors."""
-    _require_count(cores, "cores", 1)
-    _require_fraction(one_minus_alpha)
+    cores = _require_count(cores, "cores", 1)
+    one_minus_alpha = _require_fraction(one_minus_alpha)
     s = 1.0 / (one_minus_alpha + (1.0 - one_minus_alpha) / cores)
     # The model guarantees S <= k; spare callers the occasional half-ulp excess.
     return Speedup(min(s, float(cores)))
@@ -284,8 +285,8 @@ def efficiency_from_alpha(one_minus_alpha: float, cores: int) -> Efficiency:
     Evaluates 1 / (k * (1 - alpha) + alpha) in the equivalent grouping
     1 / (1 + (k - 1) * (1 - alpha)), whose denominator excess is exact.
     """
-    _require_count(cores, "cores", 1)
-    _require_fraction(one_minus_alpha)
+    cores = _require_count(cores, "cores", 1)
+    one_minus_alpha = _require_fraction(one_minus_alpha)
     return Efficiency(
         value=_efficiency(one_minus_alpha, cores), inverse_excess=(cores - 1) * one_minus_alpha
     )
@@ -304,7 +305,9 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
         ValueError: S < 1 (a slowdown, which the model cannot express).
     """
     s = _coerce_speedup(speedup).value
-    _require_count(cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError)
+    cores = _require_count(
+        cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError
+    )
     if s > cores:
         raise SuperlinearError(
             f"superlinear speedup outside model: {s!r} exceeds processor count {cores}"
@@ -328,7 +331,9 @@ def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> Alp
             fraction in [0, 1] reaches it.
     """
     e = _coerce_efficiency(efficiency)
-    _require_count(cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError)
+    cores = _require_count(
+        cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError
+    )
     one_minus = _from_inverse_excess(e.inverse_excess, cores)
     if one_minus > 1.0:
         raise InfeasibleTargetError(
@@ -353,8 +358,7 @@ def alpha_from_two_efficiencies(
             no parallel fraction in (0, 1] explains both measurements.
     """
     ea, eb = _coerce_efficiency(e1), _coerce_efficiency(e2)
-    _require_count(k1, "cores", 1)
-    _require_count(k2, "cores", 1)
+    k1, k2 = _require_count(k1, "cores", 1), _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two measurements must use different processor counts")
     slope = _two_point_slope(ea.inverse_excess, k1, eb.inverse_excess, k2)
@@ -375,8 +379,7 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
         InconsistentMeasurementsError: the timing ratio has no solution with
             a serial fraction in [0, 1].
     """
-    _require_count(k1, "cores", 1)
-    _require_count(k2, "cores", 1)
+    k1, k2 = _require_count(k1, "cores", 1), _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two timings must use different processor counts")
     _require_positive(t1, "t1")

@@ -24,10 +24,12 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable, NamedTuple, Sequence
 
+from . import _HOMES
 from .core import (
     Efficiency,
     _Checked,
     _comment_lines,
+    _finite,
     _from_inverse_excess,
     _require_count,
     _require_positive,
@@ -42,23 +44,7 @@ from .errors import (
     NonPositiveValueError,
 )
 
-__all__ = [
-    "Architecture",
-    "Benchmark",
-    "MachineRecord",
-    "DerivedMetrics",
-    "ChampionCriterion",
-    "RegressionFit",
-    "YearlyEfficiency",
-    "parse_records",
-    "read_records",
-    "write_records",
-    "derive",
-    "select_champions",
-    "fit_semilog",
-    "yearly_mean_efficiency",
-    "fixture_path",
-]
+__all__ = _HOMES["dataset"]
 
 _HEADER = ("year", "rank", "name", "arch", "cores", "rmax_gflops", "rpeak_gflops", "benchmark")
 # The file columns plus the derived pair that write_records and `amdahl timeline` add.
@@ -270,24 +256,21 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     """Ordinary least squares of log10(y) on x, for trend lines on semilog plots.
 
     Raises:
-        NonPositiveValueError: some y is not strictly positive.
-        ModelError: some x is not finite or exceeds 1e150 in magnitude.
+        NonPositiveValueError: some y is not a finite int or float > 0.
+        ModelError: some x is not a finite int or float, or exceeds 1e150 in magnitude.
         DegenerateDataError: all x are identical, no slope exists.
         ValueError: fewer than two points.
     """
     xs: list[float] = []
     ys: list[float] = []
     for x, y in points:
-        if not math.isfinite(y) or y <= 0.0:
-            raise NonPositiveValueError(f"cannot take log10 of {y!r}")
-        try:
-            fx = float(x)
-        except OverflowError:  # an int beyond the float range
-            fx = math.inf
-        if not abs(fx) <= _MAX_FIT_X:
+        fy, fx = _finite(y), _finite(x)
+        if fy is None or fy <= 0.0:
+            raise NonPositiveValueError(f"cannot take log10 of {_shown(y)}")
+        if fx is None or abs(fx) > _MAX_FIT_X:
             raise ModelError(f"x must be finite and at most 1e150 in magnitude, got {_shown(x)}")
         xs.append(fx)
-        ys.append(math.log10(y))
+        ys.append(math.log10(fy))
     n = len(xs)
     if n < 2:
         raise ValueError(f"a fit needs at least 2 points, got {n}")

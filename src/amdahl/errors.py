@@ -7,6 +7,10 @@ errors. The CLI maps any ModelError to exit code 2.
 
 from __future__ import annotations
 
+from . import _HOMES
+
+__all__ = _HOMES["errors"]
+
 
 class ModelError(ValueError):
     """A measurement, record, or request that the scaling model cannot represent."""

@@ -14,6 +14,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple, Sequence
 
+from . import _HOMES
 from .core import (
     Efficiency,
     _Checked,
@@ -29,19 +30,7 @@ from .core import (
 )
 from .errors import AlphaOverflowError, ModelError, UnboundedError, ZeroBudgetError
 
-__all__ = [
-    "CurvePoint",
-    "ScalingScenario",
-    "ScenarioResult",
-    "ContributionBudget",
-    "BoundsResult",
-    "project_curve",
-    "geometric_grid",
-    "whatif",
-    "required_one_minus_alpha",
-    "saturation_rmax",
-    "bounds",
-]
+__all__ = _HOMES["projection"]
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
 
@@ -107,10 +96,8 @@ def project_curve(
         ModelError: a grid peak implies a core count beyond the float range.
     """
     _require_count(base_cores, "cores", 1)
-    _require_fraction(one_minus_alpha)
+    x = _require_fraction(one_minus_alpha)
     _require_positive(base_rpeak, "base_rpeak")
-    # As a float, the fraction gives each efficiency as a float, as Efficiency would.
-    x = float(one_minus_alpha)
 
     points = []
     for rp in rpeak_grid:

@@ -32,6 +32,7 @@ import sys
 from collections import namedtuple
 from typing import IO, Iterable, NamedTuple, Union
 
+from . import _HOMES
 from .core import (
     AlphaEstimate,
     EstimationMethod,
@@ -45,17 +46,7 @@ from .core import (
 )
 from .errors import InvalidTemplateError, InvalidWorkloadError, ModelError
 
-__all__ = [
-    "SequentialPhase",
-    "ParallelPhase",
-    "WorkloadSpec",
-    "TimelineSegment",
-    "ScheduleResult",
-    "SweepPoint",
-    "simulate",
-    "sweep_alpha_eff",
-    "load_workload",
-]
+__all__ = _HOMES["workload"]
 
 # The most processors simulate runs: each one costs a busy and an idle slot, so a
 # larger count is rejected before anything is allocated.

@@ -125,6 +125,14 @@ class TestAlpha:
         assert err.endswith(" is too small for a finite speedup bound\n")
         assert err.count("\n") == 1
 
+    def test_speedup_on_cores_whose_product_with_it_passes_the_float_range(self, capsys):
+        # k * S is about 1e310: the inversion divides twice instead of returning 0.
+        code, out, err = cli(capsys, "alpha", "--speedup", "1e10", "--cores", "1" + "0" * 300)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "one_minus_alpha  1.000e-10", "alpha            1.000e+00", "max_speedup      1.000e+10",
+        ]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -325,6 +333,21 @@ class TestTimeline:
         assert [line.split()[:3] for line in out.splitlines()[1:]] == [
             ["2016", "1", "A"], ["2017", "1", "B"],
         ]
+        assert "fit" not in out
+
+    @pytest.mark.parametrize("digits", [201, 401])
+    def test_year_beyond_the_fit_range_gets_no_fit_line(self, capsys, tmp_path, digits):
+        # The fit takes years up to 1e150 in magnitude; 401 digits are past the float range.
+        year = "1" + "0" * (digits - 1)
+        path = tmp_path / "wide_years.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            f"2017,1,A,MPP,100,50,100,HPL\n{year},1,B,MPP,100,60,100,HPL\n",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "timeline", "--input", str(path), "--select", "best-rmax")
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()[1:]] == ["2017", year]
         assert "fit" not in out
 
     def test_bad_selector_is_usage_error(self, capsys):

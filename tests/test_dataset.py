@@ -353,6 +353,8 @@ class TestSemilogFit:
             fit_semilog([(0.0, 1.0), (1.0, 0.0)])
         with pytest.raises(NonPositiveValueError):
             fit_semilog([(0.0, 1.0), (1.0, -2.0)])
+        with pytest.raises(NonPositiveValueError, match="^cannot take log10 of a 1329-bit integer$"):
+            fit_semilog([(1, 10**400), (2, 1.0)])
         with pytest.raises(DegenerateDataError):
             fit_semilog([(3.0, 1.0), (3.0, 2.0)])
         with pytest.raises(ValueError):

@@ -7,16 +7,19 @@ kept as they were written. On any other value the guards, and the entry points
 that call them, must fail with ValueError and nothing else. ``_require_count``
 does the same for integer counts: each entry point accepts the ints it accepted
 before, numpy ints among them, and rejects every other value with ValueError.
+The last test runs the inversions and the fit on edge values and holds each
+result against exact ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amdahl.core import (
@@ -24,6 +27,7 @@ from amdahl.core import (
     Efficiency,
     EstimationMethod,
     Speedup,
+    _require_count,
     _require_fraction,
     _require_nonnegative,
     _require_positive,
@@ -39,6 +43,7 @@ from amdahl.dataset import (
     Benchmark,
     ChampionCriterion,
     MachineRecord,
+    fit_semilog,
     select_champions,
     yearly_mean_efficiency,
 )
@@ -166,6 +171,15 @@ edge_objects = [
 def test_guards_take_any_value(guard, value):
     number = old_finite(value)
     assert rejects(guard, value) == (number is None or not IN_RANGE[guard](number))
+
+
+def test_guards_return_the_number_they_checked():
+    for guard in GUARDS:
+        for value in (np.float64(0.5), 1, 0.25):
+            number = guard(value, "x")
+            assert type(number) is float and number == value
+    count = _require_count(np.int64(7), "k", 1)
+    assert type(count) is int and count == 7
 
 
 def test_an_int_beyond_the_float_range_is_named_by_its_bit_length():
@@ -401,3 +415,147 @@ def test_count_messages(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+# The inversions and the fit on edge values: counts past the float range and numpy
+# ints, speedups up to k, and y or x beyond the float range. Each call returns a
+# finite number close to the exact result, or raises ValueError; an OverflowError,
+# a TypeError or a silently wrong number fails.
+TINY = Fraction(sys.float_info.min)  # below it a float cannot hold 1e-12 relative precision
+wide_counts = st.one_of(
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=2, max_value=MAX_CORES),
+    st.integers(min_value=-1, max_value=2**1100),
+    st.integers(min_value=-1, max_value=2**63 - 1).map(np.int64),
+)
+wide_numbers = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0).map(np.float64),
+    st.integers(min_value=-1, max_value=10**400),
+)
+unit_fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+def up_to(k) -> st.SearchStrategy:
+    """Speedups from 1 to k (or to the float range), and now and then any number."""
+    top = float(min(max(int(k), 1), MAX_CORES))
+    return st.floats(min_value=1.0, max_value=top) | wide_numbers
+
+
+def planted(x, k, value) -> float:
+    """value(x, k) for serial fraction x on k cores, rounded once to a float; 1.0 off the range."""
+    k = int(k)
+    return float(value(Fraction(x), k)) if 1 <= k <= MAX_CORES else 1.0
+
+
+def planted_efficiency(x, k):
+    return 1 / (1 + (k - 1) * x)
+
+
+def planted_time(x, k):
+    return x * (1 - Fraction(1, k)) + Fraction(1, k)
+
+
+def close(got, exact: Fraction, scale: Fraction = Fraction(0)) -> bool:
+    """got is a finite float within 1e-12 of exact, relative to |exact| + scale.
+
+    ``scale`` is the size of the rounded terms a formula subtracts: where they
+    cancel, its rounding error is relative to them, not to the result.
+    """
+    assert isinstance(got, float) and math.isfinite(got)
+    return abs(Fraction(got) - exact) <= Fraction(1, 10**12) * (abs(exact) + scale + TINY)
+
+
+def fraction_close(got, exact: Fraction, scale: Fraction = Fraction(0)) -> bool:
+    """close() for a serial fraction: rounding just past 1 is snapped onto 1."""
+    return exact <= 1 + Fraction(2, 10**12) and close(got, min(exact, Fraction(1)), scale)
+
+
+def check_speedup(result, s, k):
+    # The kernel reads the count in k - s as a float, exact only up to 2**53, and
+    # takes k - 1 as an int before it reads that as a float.
+    s, fk = Fraction(float(s)), Fraction(float(int(k)))
+    assert fraction_close(result.one_minus_alpha, (fk - s) / (Fraction(float(int(k) - 1)) * s))
+
+
+def check_efficiency(result, e, k):
+    ie = Fraction(Efficiency(e).inverse_excess)
+    assert fraction_close(result.one_minus_alpha, ie / Fraction(float(int(k) - 1)))
+
+
+def check_two_efficiencies(result, e1, k1, e2, k2):
+    ie1, ie2 = (Fraction(Efficiency(e).inverse_excess) for e in (e1, e2))
+    assert fraction_close(result.one_minus_alpha, (ie2 - ie1) / (int(k2) - int(k1)))
+
+
+def check_two_timings(result, t1, k1, t2, k2):
+    r, k1, k2 = Fraction(t1) / Fraction(t2), int(k1), int(k2)
+    numer, denom = r / k2 - Fraction(1, k1), (1 - Fraction(1, k1)) - r * (1 - Fraction(1, k2))
+    x = numer / denom
+    scale = (abs(r / k2) + Fraction(1, k1) + abs(x) * (1 + abs(r))) / abs(denom)
+    assert fraction_close(result.one_minus_alpha, x, scale)
+
+
+def check_fit(fit, points):
+    # fit_semilog centres x and log10(y) on their means, which round at the scale
+    # of the largest |x| and |log10(y)|, and squares the deviations, which lose
+    # precision below the smallest normal float.
+    (x1, y1), (x2, y2) = points
+    xs = [Fraction(float(x1)), Fraction(float(x2))]
+    ls = [Fraction(math.log10(y1)), Fraction(math.log10(y2))]
+    slope, dx = (ls[1] - ls[0]) / (xs[1] - xs[0]), abs(xs[1] - xs[0])
+    scale = (abs(slope) * max(map(abs, xs)) + max(map(abs, ls))) / dx
+    scale += (abs(slope) + 1) * TINY / dx**2
+    assert close(fit.slope, slope, scale)
+    assert math.isfinite(fit.intercept) and 0.0 <= fit.r_squared <= 1.0
+
+
+@st.composite
+def inversion_calls(draw):
+    k1, k2, x = draw(wide_counts), draw(wide_counts), draw(unit_fractions)
+    efficiencies = unit_fractions | wide_numbers | st.just(planted(x, k1, planted_efficiency))
+    which = draw(st.integers(min_value=0, max_value=3))
+    if which == 0:
+        return alpha_eff_from_speedup, (draw(up_to(k1)), k1), check_speedup
+    if which == 1:
+        return alpha_eff_from_efficiency, (draw(efficiencies), k1), check_efficiency
+    if which == 2:
+        e1, e2 = draw(st.tuples(efficiencies, efficiencies) | st.just(
+            (planted(x, k1, planted_efficiency), planted(x, k2, planted_efficiency))
+        ))
+        return alpha_from_two_efficiencies, (e1, k1, e2, k2), check_two_efficiencies
+    t1, t2 = draw(st.tuples(up_to(k2), up_to(k1)) | st.just(
+        (planted(x, k1, planted_time), planted(x, k2, planted_time))
+    ))
+    return alpha_from_two_timings, (t1, k1, t2, k2), check_two_timings
+
+
+fit_xs = st.one_of(
+    st.integers(min_value=1900, max_value=2100),
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.floats(),
+    st.integers(min_value=1900, max_value=2100).map(np.int64),
+)
+fit_ys = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.integers(min_value=1, max_value=10**6),
+    wide_numbers,
+)
+fit_calls = st.lists(st.tuples(fit_xs, fit_ys), min_size=2, max_size=2).map(
+    lambda points: (fit_semilog, (points,), check_fit)
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(inversion_calls(), fit_calls))
+@example((alpha_eff_from_speedup, (1e10, 10**300), check_speedup))
+@example((alpha_from_two_efficiencies, (0.5, np.int64(7), 0.4, 2**70), check_two_efficiencies))
+@example((fit_semilog, ([(1, 10**400), (2, 1.0)],), check_fit))
+def test_inversions_and_fit_return_an_accurate_number_or_raise_value_error(case):
+    call, args, check = case
+    try:
+        result = call(*args)
+    except ValueError:
+        return
+    check(result, *args)

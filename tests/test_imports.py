@@ -12,6 +12,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -79,16 +80,20 @@ class TestPackageExports:
 
     @pytest.mark.parametrize("module", sorted(amdahl._HOMES))
     def test_homes_list_exactly_each_module_public_names(self, module):
+        # The public names are the classes and functions a module defines without
+        # a leading underscore; _HOMES lists exactly those, and __all__ reads it.
         home = importlib.import_module(f"amdahl.{module}")
-        if module == "errors":  # it has no __all__: its public names are its classes
-            public = {
-                name for name, value in vars(home).items()
-                if isinstance(value, type) and value.__module__ == home.__name__
-                and not name.startswith("_")
-            }
-        else:
-            public = set(home.__all__)
+        public = {
+            name for name, value in vars(home).items()
+            if isinstance(value, (type, types.FunctionType))
+            and value.__module__ == home.__name__ and not name.startswith("_")
+        }
         assert set(amdahl._HOMES[module]) == public
+        assert home.__all__ is amdahl._HOMES[module]
+        namespace: dict[str, object] = {}
+        exec(f"from amdahl.{module} import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == public
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError) as excinfo:
