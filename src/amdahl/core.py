@@ -45,9 +45,8 @@ __all__ = _HOMES["core"]
 _BOUNDARY_SLACK = 1e-12
 
 # The largest core count the model accepts: its formulas divide by the count as a
-# float. Held as an int so that the count guard compares two ints.
+# float. Python compares an int with a float exactly.
 _FLOAT_MAX = sys.float_info.max
-_MAX_CORES = int(_FLOAT_MAX)
 
 
 class EstimationMethod(Enum):
@@ -131,19 +130,15 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
         return tuple.__new__(cls, (number, inverse_excess))
 
 
-# The value types check the raw number before storing it as a float, so an int
+# Efficiency checks the raw number before storing it as a float, so an int
 # beyond the float range is the guard's ValueError, not float()'s OverflowError.
 def _coerce_efficiency(e: float | Efficiency) -> Efficiency:
     return e if isinstance(e, Efficiency) else Efficiency(e)
 
 
-def _coerce_speedup(s: float | Speedup) -> Speedup:
-    return s if isinstance(s, Speedup) else Speedup(s)
-
-
 def _require_count(
     value: object, name: str, minimum: int, fewer: str | None = None, error: type = ValueError,
-    maximum: float = _MAX_CORES, excess: type = ModelError,
+    maximum: float = _FLOAT_MAX, excess: type = ModelError,
 ) -> int:
     """Require an integer count in [minimum, maximum]: an int or any integer type, not a bool.
 
@@ -160,8 +155,7 @@ def _require_count(
     if value < minimum:
         raise error(f"{fewer or f'{name} must be >= {minimum}'}, got {_shown(value)}")
     if value > maximum:
-        bound = _FLOAT_MAX if maximum == _MAX_CORES else maximum  # the float range, as a float
-        raise excess(f"{name} must be <= {bound!r}, got {_shown(value)}")
+        raise excess(f"{name} must be <= {maximum!r}, got {_shown(value)}")
     return value
 
 
@@ -179,7 +173,7 @@ def _finite(x: object) -> float | None:
 
 def _shown(x: object) -> str:
     """repr(x), but an int beyond the float range by its bit length: repr fails past 4300 digits."""
-    if isinstance(x, int) and abs(x) > _MAX_CORES:
+    if isinstance(x, int) and abs(x) > _FLOAT_MAX:
         return f"a {x.bit_length()}-bit integer"
     return repr(x)
 
@@ -219,21 +213,28 @@ def _snap_to_unit(x: float) -> float:
     return x
 
 
-# The kernels: one per formula, numbers in and a number out, with no checks. Each
-# is the one place its expression is evaluated. The public functions below check
-# their inputs and then call the kernel; the hot loops (sweep grid points, record
-# derivation, curve projection) call the kernels on values that a value type or an
-# earlier check has already validated.
+# The kernels: one per formula that a loop shares with its public function,
+# numbers in and a number out, with no checks. Each is the one place its expression
+# is evaluated. The public functions below check their inputs and then call the
+# kernel; the hot loops (sweep grid points, record derivation, curve projection)
+# call the kernels on values that a value type or an earlier check has already
+# validated.
 def _from_speedup(s: float, k: int) -> float:
     """1 - alpha of speedup s on k processors, for 2 <= k and 1 <= s <= k.
 
-    Where (k - 1) * s passes the float range it divides twice instead, since the
-    overflowed product would turn the result into 0.
+    A float cannot hold every count above 2**53, so where (k - 1) * s reaches
+    2**53 it takes k - s in parts: the int difference of the integer parts, less
+    the fractional part of s. Below 2**53 both forms round k - s once, to the
+    same float. Where (k - 1) * s passes the float range it divides twice, since
+    the overflowed product would turn the result into 0.
     """
     denom = (k - 1) * s
+    if denom < 2.0**53:  # so k <= 2**53
+        return _snap_to_unit((k - s) / denom)
+    numer = (k - int(s)) - (s - int(s))
     if denom > _FLOAT_MAX:
-        return _snap_to_unit((k - s) / (k - 1) / s)
-    return _snap_to_unit((k - s) / denom)
+        return _snap_to_unit(numer / (k - 1) / s)
+    return _snap_to_unit(numer / denom)
 
 
 def _from_inverse_excess(ie: float, k: int) -> float:
@@ -242,24 +243,6 @@ def _from_inverse_excess(ie: float, k: int) -> float:
     Exceeds 1 where E < 1/k.
     """
     return _snap_to_unit(ie / (k - 1))
-
-
-def _two_point_slope(ie1: float, k1: int, ie2: float, k2: int) -> float:
-    """The slope of 1/E(k) between two measurements, for k1 != k2."""
-    return (ie2 - ie1) / (k2 - k1)
-
-
-def _from_two_timings(ratio: float, k1: int, k2: int) -> float:
-    """The serial fraction x solving t1/t2 = ratio, T(k) being proportional to x * (1 - 1/k) + 1/k.
-
-    Raises ZeroDivisionError where the ratio has no finite solution, whatever
-    the number types.
-    """
-    numer = ratio / k2 - 1.0 / k1
-    denom = (1.0 - 1.0 / k1) - ratio * (1.0 - 1.0 / k2)
-    if denom == 0.0:
-        raise ZeroDivisionError("the timing ratio has no finite solution")
-    return _snap_to_unit(numer / denom)
 
 
 def _efficiency(x: float, k: int) -> float:
@@ -304,7 +287,7 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
         SuperlinearError: S > k, outside the model.
         ValueError: S < 1 (a slowdown, which the model cannot express).
     """
-    s = _coerce_speedup(speedup).value
+    s = speedup.value if isinstance(speedup, Speedup) else _require_positive(speedup, "speedup")
     cores = _require_count(
         cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError
     )
@@ -361,8 +344,8 @@ def alpha_from_two_efficiencies(
     k1, k2 = _require_count(k1, "cores", 1), _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two measurements must use different processor counts")
-    slope = _two_point_slope(ea.inverse_excess, k1, eb.inverse_excess, k2)
-    if slope < 0.0 or slope >= 1.0:
+    slope = (eb.inverse_excess - ea.inverse_excess) / (k2 - k1)
+    if not 0.0 <= slope < 1.0:
         raise InconsistentMeasurementsError(
             f"two-point slope {slope!r} admits no parallel fraction in (0, 1]"
         )
@@ -385,12 +368,12 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
     _require_positive(t1, "t1")
     _require_positive(t2, "t2")
     ratio = t1 / t2
-    try:
-        x = _from_two_timings(ratio, k1, k2)
-    except ZeroDivisionError:
+    denom = (1.0 - 1.0 / k1) - ratio * (1.0 - 1.0 / k2)
+    if denom == 0.0:
         raise InconsistentMeasurementsError(
             f"timing ratio {ratio!r} at counts {k1} and {k2} has no finite solution"
-        ) from None
+        )
+    x = _snap_to_unit((ratio / k2 - 1.0 / k1) / denom)
     if not 0.0 <= x <= 1.0:
         raise InconsistentMeasurementsError(
             f"timing ratio {ratio!r} at counts {k1} and {k2} implies serial fraction {x!r}"

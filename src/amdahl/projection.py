@@ -95,21 +95,25 @@ def project_curve(
     Raises:
         ModelError: a grid peak implies a core count beyond the float range.
     """
-    _require_count(base_cores, "cores", 1)
+    base_cores = _require_count(base_cores, "cores", 1)
     x = _require_fraction(one_minus_alpha)
-    _require_positive(base_rpeak, "base_rpeak")
+    base_rpeak = _require_positive(base_rpeak, "base_rpeak")
 
     points = []
     for rp in rpeak_grid:
-        _require_positive(rp, "grid rpeak")
-        cores = _cores_at(rp, base_cores, base_rpeak)  # in [1, the float range]
+        peak = _require_positive(rp, "grid rpeak")
+        cores = _cores_at(peak, base_cores, base_rpeak)  # in [1, the float range]
         e = _efficiency(x, cores)
         points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=e, rmax=e * rp))
     return points
 
 
 def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
-    """Core count reaching rpeak at the base per-core peak: rounded, at least 1."""
+    """Core count reaching rpeak at the base per-core peak: rounded, at least 1.
+
+    Takes a checked plain int count and checked float peaks: a numpy count times
+    an int peak, or an int product, would raise OverflowError.
+    """
     cores = base_cores * rpeak / base_rpeak
     if math.isinf(cores):  # the product can overflow where the count does not
         cores = base_cores * (rpeak / base_rpeak)
@@ -159,7 +163,7 @@ class ScalingScenario(_Checked, namedtuple(
     def resolved_target_cores(self) -> int:
         if self.target_cores is not None:
             return self.target_cores
-        return _cores_at(self.target_rpeak, self.base_cores, self.base_rpeak)
+        return _cores_at(float(self.target_rpeak), int(self.base_cores), float(self.base_rpeak))
 
     @property
     def resolved_target_rpeak(self) -> float:

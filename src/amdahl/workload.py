@@ -280,13 +280,11 @@ def sweep_alpha_eff(
     base_total = base.dispatch_overhead + base.collect_overhead
     dispatch_share = base.dispatch_overhead / base_total if base_total > 0.0 else 0.5
 
-    overhead_ratios = list(overhead_ratios)
-    sequential_ratios = list(sequential_ratios)
-    for r in overhead_ratios + sequential_ratios:
-        _require_nonnegative(r, "sweep ratios")
+    overhead_ratios = [_require_nonnegative(r, "sweep ratios") for r in overhead_ratios]
+    sequential_ratios = [_require_nonnegative(r, "sweep ratios") for r in sequential_ratios]
 
     span = _place(base.chunks, processors, 0.0)[1]
-    chunk_work = sum(base.chunks)
+    chunk_work = sum(base.chunks, 0.0)
     _require_finite_times(chunk_work, span)
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
     sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]

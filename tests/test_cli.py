@@ -16,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +87,18 @@ class TestAlpha:
         )
         assert code == 0
         assert float(scalar_map(out)["one_minus_alpha"]) == 0.2
+
+    def test_speedup_mode_above_2_to_the_53(self, capsys):
+        # 2**60 on 2**60 + 3 cores: the count read as a float would leave 1 - alpha 0.
+        code, out, _ = cli(
+            capsys, "--format", "csv", "alpha",
+            "--speedup", "1152921504606846976", "--cores", "1152921504606846979",
+        )
+        assert code == 0
+        values = scalar_map(out)
+        exact = Fraction(3, (2**60 + 2) * 2**60)
+        assert float(values["one_minus_alpha"]) == pytest.approx(float(exact), rel=1e-12)
+        assert float(values["max_speedup"]) == pytest.approx(float(1 / exact), rel=1e-12)
 
     def test_fully_parallel_reports_unbounded_ceiling(self, capsys):
         code, out, _ = cli(capsys, "alpha", "--efficiency", "1.0", "--cores", "8")

@@ -16,8 +16,6 @@ from amdahl.core import (
     _efficiency,
     _from_inverse_excess,
     _from_speedup,
-    _from_two_timings,
-    _two_point_slope,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
     alpha_from_two_efficiencies,
@@ -231,6 +229,12 @@ class TestTwoPointEstimators:
         # Slope of 1 or more: no admissible parallel fraction.
         with pytest.raises(InconsistentMeasurementsError):
             alpha_from_two_efficiencies(Efficiency(1.0), 1, Efficiency(1.0 / 3.0), 2)
+        # Each inverse excess overflows to inf, so the slope is inf - inf: nan.
+        with pytest.raises(
+            InconsistentMeasurementsError,
+            match=r"^two-point slope nan admits no parallel fraction in \(0, 1\]$",
+        ):
+            alpha_from_two_efficiencies(5e-324, 2, 5e-324, 3)
 
     def test_rejects_equal_counts(self):
         with pytest.raises(ValueError):
@@ -261,8 +265,12 @@ class TestTwoPointEstimators:
     def test_timings_error_taxonomy(self):
         with pytest.raises(InconsistentMeasurementsError):
             alpha_from_two_timings(1.0, 1, 0.4, 2)  # faster than k2 allows
-        with pytest.raises(InconsistentMeasurementsError):
-            alpha_from_two_timings(2.0, 2, 3.0, 4)  # ratio exactly at the pole
+        # t1/t2 = (1 - 1/2) / (1 - 1/4): the ratio sits exactly at the pole.
+        with pytest.raises(
+            InconsistentMeasurementsError,
+            match=r"^timing ratio 0\.6666666666666666 at counts 2 and 4 has no finite solution$",
+        ):
+            alpha_from_two_timings(2.0, 2, 3.0, 4)
         with pytest.raises(ValueError):
             alpha_from_two_timings(1.0, 4, 2.0, 4)
         with pytest.raises(ValueError):
@@ -319,50 +327,6 @@ class TestKernels:
         e = efficiency_from_alpha(one_minus_alpha, cores)
         expected = alpha_eff_from_efficiency(e, cores).one_minus_alpha
         assert same_bits(_from_inverse_excess(e.inverse_excess, cores), expected)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        st.integers(min_value=1, max_value=10**6),
-        st.integers(min_value=1, max_value=10**6),
-    )
-    def test_two_point_slope(self, one_minus_alpha, k1, k2):
-        if k1 == k2:
-            k2 += 1
-        e1 = efficiency_from_alpha(one_minus_alpha, k1)
-        e2 = efficiency_from_alpha(one_minus_alpha, k2)
-        slope = _two_point_slope(e1.inverse_excess, k1, e2.inverse_excess, k2)
-        if 0.0 <= slope < 1.0:
-            expected = alpha_from_two_efficiencies(e1, k1, e2, k2).one_minus_alpha
-            assert same_bits(slope, expected)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=1, max_value=10**6),
-        st.integers(min_value=1, max_value=10**6),
-    )
-    def test_from_two_timings(self, one_minus_alpha, k1, k2):
-        if k1 == k2:
-            k2 += 1
-        t1 = one_minus_alpha * (1.0 - 1.0 / k1) + 1.0 / k1
-        t2 = one_minus_alpha * (1.0 - 1.0 / k2) + 1.0 / k2
-        try:
-            x = _from_two_timings(t1 / t2, k1, k2)
-        except ZeroDivisionError:
-            with pytest.raises(InconsistentMeasurementsError, match="has no finite solution$"):
-                alpha_from_two_timings(t1, k1, t2, k2)
-            return
-        if 0.0 <= x <= 1.0:
-            assert same_bits(x, alpha_from_two_timings(t1, k1, t2, k2).one_minus_alpha)
-
-    def test_from_two_timings_pole(self):
-        # t1/t2 = (1 - 1/2) / (1 - 1/4): the denominator vanishes.
-        with pytest.raises(ZeroDivisionError):
-            _from_two_timings(2.0 / 3.0, 2, 4)
-        with pytest.raises(
-            InconsistentMeasurementsError,
-            match=r"^timing ratio 0\.6666666666666666 at counts 2 and 4 has no finite solution$",
-        ):
-            alpha_from_two_timings(2.0, 2, 3.0, 4)
 
     @given(fractions, st.one_of(st.integers(min_value=1, max_value=10**7), wide_counts))
     def test_efficiency(self, one_minus_alpha, cores):

@@ -7,8 +7,9 @@ kept as they were written. On any other value the guards, and the entry points
 that call them, must fail with ValueError and nothing else. ``_require_count``
 does the same for integer counts: each entry point accepts the ints it accepted
 before, numpy ints among them, and rejects every other value with ValueError.
-The last test runs the inversions and the fit on edge values and holds each
-result against exact ``Fraction`` arithmetic.
+The inversions and the fit then run on edge values, each result held against
+exact ``Fraction`` arithmetic. The last tests run the projections and the sweep
+on numpy ints and ints up to 10**308.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from amdahl.projection import (
     geometric_grid,
     project_curve,
     required_one_minus_alpha,
+    whatif,
 )
 from amdahl.workload import ParallelPhase, SequentialPhase, WorkloadSpec, sweep_alpha_eff
 
@@ -472,10 +474,8 @@ def fraction_close(got, exact: Fraction, scale: Fraction = Fraction(0)) -> bool:
 
 
 def check_speedup(result, s, k):
-    # The kernel reads the count in k - s as a float, exact only up to 2**53, and
-    # takes k - 1 as an int before it reads that as a float.
-    s, fk = Fraction(float(s)), Fraction(float(int(k)))
-    assert fraction_close(result.one_minus_alpha, (fk - s) / (Fraction(float(int(k) - 1)) * s))
+    s, k = Fraction(float(s)), int(k)
+    assert fraction_close(result.one_minus_alpha, (k - s) / ((k - 1) * s))
 
 
 def check_efficiency(result, e, k):
@@ -550,6 +550,7 @@ fit_calls = st.lists(st.tuples(fit_xs, fit_ys), min_size=2, max_size=2).map(
 @settings(max_examples=500)
 @given(st.one_of(inversion_calls(), fit_calls))
 @example((alpha_eff_from_speedup, (1e10, 10**300), check_speedup))
+@example((alpha_eff_from_speedup, (2**60, 2**60 + 3), check_speedup))
 @example((alpha_from_two_efficiencies, (0.5, np.int64(7), 0.4, 2**70), check_two_efficiencies))
 @example((fit_semilog, ([(1, 10**400), (2, 1.0)],), check_fit))
 def test_inversions_and_fit_return_an_accurate_number_or_raise_value_error(case):
@@ -559,3 +560,71 @@ def test_inversions_and_fit_return_an_accurate_number_or_raise_value_error(case)
     except ValueError:
         return
     check(result, *args)
+
+
+# The projections and the sweep on numpy ints and ints up to 10**308 as counts,
+# peaks, durations and ratios. Each call returns finite numbers or raises
+# ValueError; an OverflowError from mixing a numpy int with a large int, or from
+# an int product beyond the float range, fails.
+def all_finite(result) -> bool:
+    if isinstance(result, (tuple, list)):
+        return all(all_finite(value) for value in result)
+    return not isinstance(result, (float, np.floating)) or math.isfinite(result)
+
+
+# Ints of every magnitude up to 2**1023 < 10**308; a plain integers() draw is mostly
+# small. Numpy ints are drawn as counts only, since the other guards reject them.
+big_ints = st.builds(
+    lambda m, shift: m << shift,
+    st.integers(min_value=0, max_value=2**53),
+    st.integers(min_value=0, max_value=970),
+)
+scaling_counts = st.one_of(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**63 - 1).map(np.int64),
+    big_ints,
+)
+scaling_numbers = st.floats(min_value=0.0, max_value=sys.float_info.max) | big_ints
+
+
+@st.composite
+def scaling_calls(draw):
+    """A call of project_curve, whatif or sweep_alpha_eff; its arguments are built in the call."""
+    which = draw(st.integers(min_value=0, max_value=2))
+    if which == 0:
+        args = (draw(scaling_counts), draw(scaling_numbers), draw(unit_fractions),
+                draw(st.lists(scaling_numbers, min_size=1, max_size=3)))
+        return lambda: project_curve(*args)
+    if which == 1:
+        args = (draw(unit_fractions), draw(scaling_counts), draw(scaling_numbers),
+                draw(scaling_numbers), draw(st.none() | scaling_counts),
+                draw(st.none() | scaling_numbers))
+        return lambda: whatif(ScalingScenario(*args))
+    chunks = tuple(draw(st.lists(scaling_numbers, min_size=1, max_size=3)))
+    phases = [ParallelPhase(chunks, draw(scaling_numbers), draw(scaling_numbers))]
+    if draw(st.booleans()):
+        phases.insert(0, SequentialPhase(draw(scaling_numbers)))
+    ratios = st.lists(scaling_numbers, min_size=1, max_size=2)
+    processors, overhead, sequential = draw(scaling_counts), draw(ratios), draw(ratios)
+    return lambda: sweep_alpha_eff(processors, WorkloadSpec(2, phases), overhead, sequential)
+
+
+# Each example raised OverflowError.
+@settings(max_examples=300)
+@given(scaling_calls())
+@example(lambda: project_curve(np.int64(7), 1e300, 0.5, [10**20]))
+@example(lambda: project_curve(10**308, 5e-324, 0.5, [2**60]))
+@example(lambda: whatif(ScalingScenario(0.5, np.int64(7), base_rpeak=1.0, target_rpeak=10**20)))
+@example(lambda: whatif(ScalingScenario(1e-9, 3, base_rpeak=1.0, target_rpeak=10**308)))
+@example(lambda: sweep_alpha_eff(
+    2, WorkloadSpec(2, (ParallelPhase((10**308, 10**308)),)), [0.0], [1.0]
+))
+@example(lambda: sweep_alpha_eff(
+    2, WorkloadSpec(2, (SequentialPhase(10**308), ParallelPhase((1.0, 2.0)))), [0.0], [2]
+))
+def test_projections_and_sweep_on_wide_ints_return_finite_numbers_or_raise_value_error(call):
+    try:
+        result = call()
+    except ValueError:
+        return
+    assert all_finite(result), result
