@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 __all__ = ["run", "main"]
 
@@ -119,15 +119,11 @@ class _Output:
     Only csv output loads ``csv``, and ``shlex`` for the command line it echoes.
     """
 
-    def __init__(self, fmt: str, precision: int, argv: Sequence[str], out: IO[str]) -> None:
-        self.fmt = fmt
+    def __init__(self, fmt: str, precision: int, argv: Sequence[str]) -> None:
+        self.is_table = fmt == "table"
         self.precision = precision
         self.argv = argv
-        self.out = out
-
-    @property
-    def is_table(self) -> bool:
-        return self.fmt == "table"
+        self.out = sys.stdout
 
     def number(self, x: float) -> str:
         if self.is_table:
@@ -153,8 +149,26 @@ class _Output:
                 break
         return f"{self.number(value)} {unit} ({human})"
 
-    def _csv_writer(self, comments: Sequence[str]):
-        """Write the csv comment lines, the command line then ``comments``; return a row writer."""
+    def scalars(self, pairs: Sequence[tuple[str, object]]) -> None:
+        """One ``key  value`` line per pair; csv writes them as a one-row table."""
+        keys = [key for key, _ in pairs]
+        if not self.is_table:
+            self.table(keys, [[value for _, value in pairs]])
+            return
+        width = max(map(len, keys))
+        for key, value in pairs:
+            self.out.write(f"{key:<{width}}  {self.cell(value)}\n")
+
+    def table(
+        self, headers: Sequence[str], rows: Sequence[Sequence[object]], comments: Sequence[str] = ()
+    ) -> None:
+        """Rows under a header; csv puts the command line and ``comments`` in ``#`` lines first."""
+        text_rows = [[self.cell(v) for v in row] for row in rows]
+        if self.is_table:
+            widths = [max(map(len, column)) for column in zip(headers, *text_rows)]
+            for r in (headers, *text_rows):
+                self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+            return
         import csv
         import shlex
 
@@ -162,41 +176,9 @@ class _Output:
 
         for text in ("amdahl " + shlex.join(self.argv), *comments):
             self.out.write(_comment_lines(text))
-        return csv.writer(self.out, lineterminator="\n")
-
-    def scalars(self, pairs: Sequence[tuple[str, object]]) -> None:
-        cells = [(key, self.cell(value)) for key, value in pairs]
-        if self.is_table:
-            width = max(len(key) for key, _ in cells)
-            for key, value in cells:
-                self.out.write(f"{key:<{width}}  {value}\n")
-        else:
-            writer = self._csv_writer(())
-            writer.writerow([key for key, _ in cells])
-            writer.writerow([value for _, value in cells])
-
-    def table(
-        self,
-        headers: Sequence[str],
-        rows: Sequence[Sequence[object]],
-        comments: Sequence[str] = (),
-        title: str | None = None,
-    ) -> None:
-        text_rows = [[self.cell(v) for v in row] for row in rows]
-        if self.is_table:
-            if title:
-                self.out.write(f"{title}\n")
-            widths = [
-                max(len(headers[i]), *(len(r[i]) for r in text_rows)) if text_rows else len(headers[i])
-                for i in range(len(headers))
-            ]
-            self.out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-            for r in text_rows:
-                self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-        else:
-            writer = self._csv_writer(comments)
-            writer.writerow(headers)
-            writer.writerows(text_rows)
+        writer = csv.writer(self.out, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(text_rows)
 
 
 # Subcommand name -> (help line, arguments, handler), filled by @_command in the
@@ -453,11 +435,11 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     rows = [[pt.rpeak, pt.cores, pt.efficiency, pt.rmax] for pt in curve]
     if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
         rows = [[rp, float(k) if k > 2**53 else k, e, rmax] for rp, k, e, rmax in rows]
+        output.out.write(f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}\n")
     output.table(
         ("rpeak_gflops", "cores", "efficiency", "rmax_gflops"),
         rows,
         comments=[base_note, f"one_minus_alpha={one_minus_alpha!r}"],
-        title=None if not output.is_table else f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}",
     )
 
 
@@ -617,10 +599,10 @@ def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the process exit code."""
     argv_list = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv_list)
-    except _UsageError as err:
+        args = _build_parser().parse_args(argv_list)
+        _COMMANDS[args.command][2](args, _Output(args.format, args.precision, argv_list))
+    except _UsageError as err:  # a handler raises it without a parser, so no usage line
         if err.parser is not None:
             sys.stderr.write(err.parser.format_usage())
         print(f"error: {err}", file=sys.stderr)
@@ -628,18 +610,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself only for --help
         code = exc.code
         return code if isinstance(code, int) else 0
-
-    output = _Output(
-        fmt=args.format,
-        precision=args.precision,
-        argv=argv_list,
-        out=sys.stdout,
-    )
-    try:
-        _COMMANDS[args.command][2](args, output)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         # ModelError subclasses ValueError: superlinear, infeasible, malformed rows.
         print(f"error: {exc}", file=sys.stderr)

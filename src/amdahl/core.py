@@ -119,8 +119,7 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
                 f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
         if inverse_excess is None:
-            # From the value as given: a numpy float keeps its type here and in derive.
-            inverse_excess = (1.0 - value) / value
+            inverse_excess = (1.0 - number) / number
         else:
             _require_nonnegative(inverse_excess, "inverse_excess")
             if abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:

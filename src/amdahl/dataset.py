@@ -79,6 +79,7 @@ class MachineRecord(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        _require_count(self.year, "year", 1, maximum=9999)
         _require_count(self.rank, "rank", 1, maximum=math.inf)
         _require_count(self.cores, "cores", 1)
         _require_positive(self.rmax, "rmax")
@@ -102,24 +103,28 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
 
     Raises:
         MissingHeaderError: the first content row is not the expected header.
-        MalformedRowError: a row has the wrong shape or violates an invariant;
+        MalformedRowError: a row is not valid csv (a field past csv's size limit),
+            has the wrong shape or violates an invariant;
             carries the 1-based line number of the offending row.
     """
     reader = csv.reader(stream)
     header: list[str] | None = None
     records: list[MachineRecord] = []
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if header is None:
-            header = [cell.strip().lower() for cell in row]
-            if tuple(header[: len(_HEADER)]) != _HEADER:
-                raise MissingHeaderError(
-                    "expected header starting with "
-                    f"'{','.join(_HEADER)}', got '{','.join(header)}'"
-                )
-            continue
-        records.append(_parse_row(row, reader.line_num))
+    try:
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = [cell.strip().lower() for cell in row]
+                if tuple(header[: len(_HEADER)]) != _HEADER:
+                    raise MissingHeaderError(
+                        "expected header starting with "
+                        f"'{','.join(_HEADER)}', got '{','.join(header)}'"
+                    )
+                continue
+            records.append(_parse_row(row, reader.line_num))
+    except csv.Error as exc:  # a field past csv's size limit, for one
+        raise MalformedRowError(reader.line_num, str(exc)) from exc
     if header is None:
         raise MissingHeaderError("input has no header row")
     return records

@@ -169,7 +169,8 @@ class ScalingScenario(_Checked, namedtuple(
     def resolved_target_rpeak(self) -> float:
         if self.target_rpeak is not None:
             return self.target_rpeak
-        rpeak = self.target_cores * (self.base_rpeak / self.base_cores)
+        # A float product: a numpy one would overflow with a RuntimeWarning, not to inf quietly.
+        rpeak = int(self.target_cores) * float(self.base_rpeak / self.base_cores)
         if not math.isfinite(rpeak):
             raise ModelError(f"target peak of {self.target_cores} cores overflows the float range")
         return rpeak

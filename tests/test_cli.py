@@ -348,10 +348,13 @@ class TestTimeline:
         ]
         assert "fit" not in out
 
-    @pytest.mark.parametrize("digits", [201, 401])
-    def test_year_beyond_the_fit_range_gets_no_fit_line(self, capsys, tmp_path, digits):
-        # The fit takes years up to 1e150 in magnitude; 401 digits are past the float range.
-        year = "1" + "0" * (digits - 1)
+    @pytest.mark.parametrize(
+        "year, shown",
+        [("1" + "0" * 200, "1" + "0" * 200), ("1" + "0" * 400, "a 1329-bit integer")],
+        ids=["201", "401"],
+    )
+    def test_year_beyond_9999_exits_2(self, capsys, tmp_path, year, shown):
+        # 401 digits are past the float range, so the message gives the bit length.
         path = tmp_path / "wide_years.csv"
         path.write_text(
             "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
@@ -359,9 +362,8 @@ class TestTimeline:
             encoding="utf-8",
         )
         code, out, err = cli(capsys, "timeline", "--input", str(path), "--select", "best-rmax")
-        assert (code, err) == (0, "")
-        assert [line.split()[0] for line in out.splitlines()[1:]] == ["2017", year]
-        assert "fit" not in out
+        assert (code, out) == (2, "")
+        assert err == f"error: row at line 3: year must be <= 9999, got {shown}\n"
 
     def test_bad_selector_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "timeline", "--input", HPL, "--select", "fastest")
@@ -851,6 +853,26 @@ class TestHarness:
     def test_help_exits_0(self, capsys):
         assert cli(capsys, "--help")[0] == 0
         assert cli(capsys, "alpha", "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("timeline", "--select", "best-rmax"),
+            ("mean-efficiency", "--top", "1"),
+            ("project", "--name", "A", "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2"),
+        ],
+        ids=["timeline", "mean-efficiency", "project"],
+    )
+    def test_field_past_the_csv_size_limit_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "long_name.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            f"2017,1,{'A' * 131073},MPP,100,50,100,HPL\n",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: row at line 2: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,15 +10,24 @@ that exits 0 never prints ``inf`` or ``nan``, and in csv format writes only
 Counts that size an allocation stay small (``--points`` and ``--processors`` at
 most 64, and only the bundled workload files), so no example can ask for a
 huge grid or processor list.
+
+The input files get the same check: each example writes one small record or
+workload file and runs a subcommand that reads it. Half the files are valid
+throughout; in the other half, fields are replaced by edge tokens, rows cut
+short, JSON values given the wrong type and the text truncated. Workloads name
+at most 16 processors, or a count every subcommand rejects.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import math
 import re
 import shlex
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +175,10 @@ def run_captured(argv: list[str]) -> tuple[int, str]:
 @example(["--format=csv", "sweep", f"--workload={fixture_path('workload_classic.json')}",
           "--overhead=0\n", "--sequential=1"])
 def test_any_argv_exits_cleanly(argv):
+    check_clean_exit(argv)
+
+
+def check_clean_exit(argv: list[str]) -> None:
     code, out = run_captured(argv)
     assert code in (0, 1, 2)
     if code != 0:
@@ -179,3 +192,113 @@ def test_any_argv_exits_cleanly(argv):
         echoed = len(("amdahl " + shlex.join(argv)).splitlines())
     printed = "\n".join(lines[echoed:])
     assert not re.search(r"\b(inf|nan)\b", printed, re.IGNORECASE), printed
+
+
+FILE = "<file>"  # stands for the path of the file an example writes
+LONG_INT = "1" + "0" * 400
+HEADER = "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark"
+# Names with a comma, a line break and a quote; none says inf or nan.
+NAMES = ("A", "B", "Titan", "a, b", "line\nbreak", 'say "hi"')
+edge_fields = st.sampled_from(EDGE_NUMBERS + (LONG_INT, "-1", "10000", "2.5", '"open', "#"))
+
+
+@st.composite
+def record_rows(draw, name: str, noisy: bool) -> str:
+    """One csv row: a valid record, or when noisy now and then an edge field or a short row."""
+    rpeak = draw(st.sampled_from((100.0, 93014.6, 1e6)))
+    rmax = rpeak * draw(st.floats(min_value=0.05, max_value=1.0))  # E >= 1/20 cores: invertible
+    row = [
+        str(draw(st.integers(min_value=1993, max_value=2020))),
+        str(draw(st.integers(min_value=1, max_value=5))),
+        '"' + name.replace('"', '""') + '"',
+        draw(st.sampled_from(("MPP", "Cluster", "Other"))),
+        str(draw(st.integers(min_value=20, max_value=10**6))),
+        repr(rmax),
+        repr(rpeak),
+        draw(st.sampled_from(("HPL", "HPCG"))),
+    ]
+    if noisy and draw(st.booleans()):  # not the name, which is printed as it is
+        row[draw(st.sampled_from((0, 1, 3, 4, 5, 6, 7)))] = draw(edge_fields)
+    if noisy and draw(st.integers(min_value=0, max_value=5)) == 0:
+        row = row[: draw(st.integers(min_value=0, max_value=7))]
+    return ",".join(row)
+
+
+@st.composite
+def record_runs(draw) -> tuple[str, list[str]]:
+    """A record file of at most 5 rows, and a subcommand that reads it."""
+    noisy = draw(st.booleans())
+    comments = st.sampled_from(("# a comment", "  # indented", "", "#,x,y"))
+    first = draw(st.integers(min_value=0, max_value=len(NAMES) - 1))
+    size = draw(st.integers(min_value=0, max_value=5))
+    names = [NAMES[(first + i) % len(NAMES)] for i in range(size)]
+    lines = [  # one row per name; one in four a comment or blank line
+        draw(st.one_of(*[record_rows(name, noisy)] * 3, comments)) for name in names
+    ]
+    text = "\n".join([HEADER, *lines]) + "\n"
+    command = draw(st.sampled_from(("timeline", "mean-efficiency", "project")))
+    if command == "timeline":
+        args = ["--select", draw(st.sampled_from(("best-rmax", "best-alpha")))]
+        if draw(st.booleans()):
+            args += ["--top", str(draw(st.integers(min_value=1, max_value=3)))]
+    elif command == "mean-efficiency":
+        args = ["--top", str(draw(st.integers(min_value=1, max_value=5)))]
+    else:
+        args = ["--name", draw(st.sampled_from(names or NAMES)), "--rpeak-from=1",
+                "--rpeak-to=1e6", "--points=3"]
+    return text, [command, "--input", FILE, *args]
+
+
+@st.composite
+def workload_runs(draw) -> tuple[str, list[str]]:
+    """A workload file, valid or with wrong JSON types and truncated text, and simulate or sweep."""
+    noisy = draw(st.booleans())
+    # 2**63 is the one count above 16 drawn: every subcommand rejects it.
+    edge = st.sampled_from(
+        (0, -1, 2.5, "1", None, True, [], {}, math.inf, math.nan, 10**400, 2**63)
+    )
+
+    def value(valid: st.SearchStrategy) -> st.SearchStrategy:
+        return st.one_of(valid, valid, valid, edge) if noisy else valid
+
+    durations = value(st.floats(min_value=0.01, max_value=10.0))
+    overheads = value(st.floats(min_value=0.0, max_value=1.0))
+    sequential = st.fixed_dictionaries({"type": st.just("sequential"), "duration": durations})
+    parallel = st.fixed_dictionaries({
+        "type": st.just("parallel"), "dispatch": overheads, "collect": overheads,
+        "chunks": value(st.lists(durations, min_size=1, max_size=5)),
+    })
+    if draw(st.booleans()):
+        argv = ["simulate", "--workload", FILE]
+        phases = st.lists(value(sequential | parallel), min_size=1, max_size=4)
+    else:  # a sweep template has one parallel phase
+        argv = ["sweep", "--workload", FILE, "--overhead=0,0.1", "--sequential=0,1"]
+        phases = st.tuples(value(parallel)) | st.tuples(value(sequential), value(parallel))
+    workload = st.fixed_dictionaries({
+        "processors": value(st.integers(min_value=2, max_value=16)), "phases": value(phases),
+    })
+    text = json.dumps(draw(value(workload)))
+    if noisy and draw(st.integers(min_value=0, max_value=3)) == 0:
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    return text, argv
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(record_runs(), workload_runs()), st.booleans())
+# Each once printed a traceback: a field past csv's size limit, a 401-digit year
+# that float() could not convert, and nesting deeper than json.loads recurses.
+@example((f"{HEADER}\n2017,1,{'x' * 131073},MPP,100,50,100,HPL\n",
+          ["timeline", "--input", FILE, "--select", "best-rmax"]), False)
+@example((f"{HEADER}\n2017,1,A,MPP,100,50,100,HPL\n{LONG_INT},1,B,MPP,100,60,100,HPL\n",
+          ["timeline", "--input", FILE, "--select", "best-rmax"]), True)
+@example(("[" * 200_000, ["simulate", "--workload", FILE]), False)
+def test_any_input_file_exits_cleanly(input_path, case, csv_format):
+    text, argv = case
+    input_path.write_text(text, encoding="utf-8")
+    argv = [str(input_path) if token == FILE else token for token in argv]
+    check_clean_exit(["--format=csv", *argv] if csv_format else argv)

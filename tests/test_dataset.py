@@ -116,6 +116,12 @@ class TestParsing:
             ("2017,0,X,MPP,4,1,2,HPL", "rank"),
             ("2017,1,X,MPP,4,-1,2,HPL", "rmax"),
             ("2017,1,X,MPP,4,nan,2,HPL", "rmax"),
+            ("0,1,X,MPP,4,1,2,HPL", "year must be >= 1, got 0"),
+            ("10000,1,X,MPP,4,1,2,HPL", "year must be <= 9999, got 10000"),
+            pytest.param(
+                f"2017,1,{'x' * 131073},MPP,4,1,2,HPL", "field larger than field limit (131072)",
+                id="field-past-the-csv-size-limit",
+            ),
         ],
     )
     def test_malformed_rows(self, row, fragment):

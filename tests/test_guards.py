@@ -245,9 +245,11 @@ def test_an_int_beyond_the_float_range_is_not_converted_before_the_check():
     message = r"^speedup must be finite and > 0, got a 1329-bit integer$"
     with pytest.raises(ValueError, match=message):
         alpha_eff_from_speedup(10**400, 4)
-    # Accepted numbers are stored as floats.
+    # Accepted numbers, numpy ones too, are stored as floats, and so are results computed from them.
     assert type(alpha_eff_from_speedup(2, 3).one_minus_alpha) is float
     assert type(Speedup(2).value) is float and type(Efficiency(1).value) is float
+    assert type(Efficiency(np.float64(0.5)).inverse_excess) is float
+    assert type(whatif(ScalingScenario(0.5, 3, 1.0, 3.0, np.int64(5), None)).rmax) is float
 
 
 # The count guard, core._require_count, replaced core._require_cores,
@@ -553,6 +555,8 @@ fit_calls = st.lists(st.tuples(fit_xs, fit_ys), min_size=2, max_size=2).map(
 @example((alpha_eff_from_speedup, (2**60, 2**60 + 3), check_speedup))
 @example((alpha_from_two_efficiencies, (0.5, np.int64(7), 0.4, 2**70), check_two_efficiencies))
 @example((fit_semilog, ([(1, 10**400), (2, 1.0)],), check_fit))
+# A numpy efficiency whose inverse excess overflowed with a RuntimeWarning.
+@example((alpha_eff_from_efficiency, (np.float64(5e-324), 4), check_efficiency))
 def test_inversions_and_fit_return_an_accurate_number_or_raise_value_error(case):
     call, args, check = case
     try:
@@ -622,6 +626,9 @@ def scaling_calls(draw):
 @example(lambda: sweep_alpha_eff(
     2, WorkloadSpec(2, (SequentialPhase(10**308), ParallelPhase((1.0, 2.0)))), [0.0], [2]
 ))
+# A numpy target count gave an np.float64 rmax, and a RuntimeWarning where the peak overflowed.
+@example(lambda: whatif(ScalingScenario(0.5, 3, 1.0, 3.0, np.int64(5), None)))
+@example(lambda: whatif(ScalingScenario(0.5, 3, 1.0, 1e300, np.int64(10**18), None)))
 def test_projections_and_sweep_on_wide_ints_return_finite_numbers_or_raise_value_error(call):
     try:
         result = call()
