@@ -165,6 +165,9 @@ class _Output:
         """Rows under a header; csv puts the command line and ``comments`` in ``#`` lines first."""
         text_rows = [[self.cell(v) for v in row] for row in rows]
         if self.is_table:
+            # A line break in a cell would split its row: show it as \r or \n (csv quotes it).
+            text_rows = [[c.replace("\r", "\\r").replace("\n", "\\n") for c in row]
+                         for row in text_rows]
             widths = [max(map(len, column)) for column in zip(headers, *text_rows)]
             for r in (headers, *text_rows):
                 self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")

@@ -57,7 +57,6 @@ class EstimationMethod(Enum):
     TWO_POINT_SLOPE = "two-point-slope"
     TWO_TIMINGS = "two-timings"
     SIMULATED = "simulated"
-    ASSUMED = "assumed"
 
 
 class _Checked:
@@ -119,14 +118,18 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
                 f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
         if inverse_excess is None:
-            inverse_excess = (1.0 - number) / number
-        else:
-            _require_nonnegative(inverse_excess, "inverse_excess")
-            if abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
-                raise ValueError(
-                    f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
-                )
+            return _measured_efficiency(number)
+        _require_nonnegative(inverse_excess, "inverse_excess")
+        if abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
+            raise ValueError(
+                f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
+            )
         return tuple.__new__(cls, (number, inverse_excess))
+
+
+def _measured_efficiency(value: float) -> Efficiency:
+    """The Efficiency of a float already known to lie in (0, 1], its guard not run again."""
+    return tuple.__new__(Efficiency, (value, (1.0 - value) / value))
 
 
 # Efficiency checks the raw number before storing it as a float, so an int

@@ -31,6 +31,7 @@ from .core import (
     _comment_lines,
     _finite,
     _from_inverse_excess,
+    _measured_efficiency,
     _require_count,
     _require_positive,
     _shown,
@@ -65,6 +66,11 @@ class Benchmark(Enum):
     HPCG = "HPCG"
 
 
+# The lookups _parse_row makes for the lowered arch and the upper-cased benchmark field.
+_ARCHITECTURES = {"mpp": Architecture.MPP, "cluster": Architecture.CLUSTER}
+_BENCHMARKS = {b.value: b for b in Benchmark}
+
+
 class ChampionCriterion(Enum):
     BEST_RMAX = "best-rmax"
     BEST_ALPHA = "best-alpha"
@@ -77,18 +83,18 @@ class MachineRecord(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_count(self.year, "year", 1, maximum=9999)
-        _require_count(self.rank, "rank", 1, maximum=math.inf)
-        _require_count(self.cores, "cores", 1)
-        _require_positive(self.rmax, "rmax")
-        _require_positive(self.rpeak, "rpeak")
-        if self.rmax > self.rpeak:
-            raise ValueError(
-                f"rmax {self.rmax!r} exceeds rpeak {self.rpeak!r}, which would be superlinear"
-            )
-        return self
+    def __new__(
+        cls, year: int, rank: int, name: str, arch: Architecture, cores: int, rmax: float,
+        rpeak: float, benchmark: Benchmark,
+    ):
+        _require_count(year, "year", 1, maximum=9999)
+        _require_count(rank, "rank", 1, maximum=math.inf)
+        _require_count(cores, "cores", 1)
+        _require_positive(rmax, "rmax")
+        _require_positive(rpeak, "rpeak")
+        if rmax > rpeak:
+            raise ValueError(f"rmax {rmax!r} exceeds rpeak {rpeak!r}, which would be superlinear")
+        return tuple.__new__(cls, (year, rank, name, arch, cores, rmax, rpeak, benchmark))
 
 
 class DerivedMetrics(NamedTuple):
@@ -133,34 +139,28 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
 def _parse_row(row: Sequence[str], line_num: int) -> MachineRecord:
     if len(row) < len(_HEADER):
         raise MalformedRowError(line_num, f"expected at least {len(_HEADER)} fields, got {len(row)}")
-    year_s, rank_s, name, arch_s, cores_s, rmax_s, rpeak_s, bench_s = (
-        cell.strip() for cell in row[: len(_HEADER)]
-    )
     try:
-        year = int(year_s)
-        rank = int(rank_s)
-        cores = int(cores_s)
-        rmax = float(rmax_s)
-        rpeak = float(rpeak_s)
-    except ValueError as exc:
-        raise MalformedRowError(line_num, f"numeric field could not be parsed: {exc}") from exc
-
-    lowered = arch_s.lower()
-    if lowered == "mpp":
-        arch = Architecture.MPP
-    elif lowered == "cluster":
-        arch = Architecture.CLUSTER
-    else:
-        # Anything else (including historical class names) lands in the catch-all.
-        arch = Architecture.OTHER
-
-    try:
-        benchmark = Benchmark(bench_s.upper())
+        year, rank, cores = int(row[0]), int(row[1]), int(row[4])
+        rmax, rpeak = float(row[5]), float(row[6])
     except ValueError:
-        raise MalformedRowError(line_num, f"benchmark must be HPL or HPCG, got {bench_s!r}") from None
+        # int() and float() skip surrounding whitespace, but not \x1c to \x1f, which
+        # str.strip() removes; the retry reads those fields, and an error quotes the
+        # field as stripped.
+        try:
+            year, rank, cores = int(row[0].strip()), int(row[1].strip()), int(row[4].strip())
+            rmax, rpeak = float(row[5].strip()), float(row[6].strip())
+        except ValueError as exc:
+            raise MalformedRowError(line_num, f"numeric field could not be parsed: {exc}") from exc
+
+    # Anything but MPP or Cluster (including historical class names) lands in the catch-all.
+    arch = _ARCHITECTURES.get(row[3].strip().lower(), Architecture.OTHER)
+    bench_s = row[7].strip()
+    benchmark = _BENCHMARKS.get(bench_s.upper())
+    if benchmark is None:
+        raise MalformedRowError(line_num, f"benchmark must be HPL or HPCG, got {bench_s!r}")
 
     try:
-        return MachineRecord(year, rank, name, arch, cores, rmax, rpeak, benchmark)
+        return MachineRecord(year, rank, row[2].strip(), arch, cores, rmax, rpeak, benchmark)
     except ValueError as exc:
         raise MalformedRowError(line_num, str(exc)) from exc
 
@@ -195,21 +195,33 @@ def _record_row(r: MachineRecord, derived: bool) -> list:
     """A record's fields in file column order, then its derived pair when asked."""
     row = [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value]
     if derived:
-        m = derive(r)
-        row += [m.efficiency.value, m.one_minus_alpha_eff]
+        row += _derived_pair(r)
     return row
 
 
 def derive(record: MachineRecord) -> DerivedMetrics:
     """Efficiency rmax/rpeak and the serial fraction it implies at the record's core count."""
-    eff = Efficiency(record.rmax / record.rpeak)  # raises where rmax / rpeak underflows to 0
-    k = record.cores  # an integer >= 1: the record checked it
-    if k > 1:
-        one_minus = _from_inverse_excess(eff.inverse_excess, k)
+    value, one_minus = _derived_pair(record)
+    return DerivedMetrics(efficiency=_measured_efficiency(value), one_minus_alpha_eff=one_minus)
+
+
+def _derived_pair(r: MachineRecord) -> tuple[float, float]:
+    """rmax / rpeak and 1 - alpha_eff of a checked record, as floats.
+
+    The one per-record kernel: derive, the BEST_ALPHA key and the derived write
+    columns call it. The record guarantees 0 < rmax <= rpeak, so the efficiency
+    lies in (0, 1] unless the division underflows to 0.
+    """
+    quotient = r.rmax / r.rpeak
+    value = float(quotient)  # numpy's float64, for one: Efficiency stores a float
+    k = r.cores  # an integer >= 1: the record checked it
+    if value != 0.0 and k != 1:
+        # Efficiency's inverse excess, inverted as alpha_eff_from_efficiency does.
+        one_minus = _from_inverse_excess((1.0 - value) / value, k)
         if one_minus <= 1.0:
-            return DerivedMetrics(efficiency=eff, one_minus_alpha_eff=one_minus)
-    # One core, or E < 1/k: the checked inversion raises its error.
-    return DerivedMetrics(eff, alpha_eff_from_efficiency(eff, k).one_minus_alpha)
+            return value, one_minus
+    # An efficiency of 0, one core, or E < 1/k: the checked inversion raises its error.
+    return value, alpha_eff_from_efficiency(quotient, k).one_minus_alpha
 
 
 def _year_cohorts(records: Iterable[MachineRecord], top: int | None) -> list[list[MachineRecord]]:
@@ -244,7 +256,7 @@ def select_champions(
     if ChampionCriterion(by) is ChampionCriterion.BEST_RMAX:
         key = lambda r: (-r.rmax, r.rank, r.name)
     else:
-        key = lambda r: (derive(r).one_minus_alpha_eff, r.rank, r.name)
+        key = lambda r: (_derived_pair(r)[1], r.rank, r.name)
     return [min(cohort, key=key) for cohort in _year_cohorts(records, top)]
 
 

@@ -267,9 +267,9 @@ def sweep_alpha_eff(
         InvalidWorkloadError: more than ``sys.maxsize`` processors, or the
             chunks' or a grid point's times overflow the float range.
     """
-    _require_count(processors, "processors", 2,
-                   "a sweep needs at least 2 processors to define alpha_eff",
-                   maximum=sys.maxsize, excess=InvalidWorkloadError)
+    processors = _require_count(processors, "processors", 2,
+                                "a sweep needs at least 2 processors to define alpha_eff",
+                                maximum=sys.maxsize, excess=InvalidWorkloadError)
     parallel_phases = [p for p in template.phases if isinstance(p, ParallelPhase)]
     if len(parallel_phases) != 1:
         raise InvalidTemplateError(

@@ -14,13 +14,17 @@ huge grid or processor list.
 The input files get the same check: each example writes one small record or
 workload file and runs a subcommand that reads it. Half the files are valid
 throughout; in the other half, fields are replaced by edge tokens, rows cut
-short, JSON values given the wrong type and the text truncated. Workloads name
-at most 16 processors, or a count every subcommand rejects.
+short, JSON values given the wrong type and the text truncated. Record numbers
+are sometimes written with a ``_`` between digits or padded with \\x1c to
+\\x1f, and names hold line breaks; a record table printed in table format
+keeps each row on one line. Workloads name at most 16 processors, or a count
+every subcommand rejects.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import re
@@ -178,11 +182,11 @@ def test_any_argv_exits_cleanly(argv):
     check_clean_exit(argv)
 
 
-def check_clean_exit(argv: list[str]) -> None:
+def check_clean_exit(argv: list[str]) -> tuple[int, str]:
     code, out = run_captured(argv)
     assert code in (0, 1, 2)
     if code != 0:
-        return
+        return code, out
     lines = out.splitlines()
     echoed = 0
     if argv[0] == "--format=csv":
@@ -192,14 +196,41 @@ def check_clean_exit(argv: list[str]) -> None:
         echoed = len(("amdahl " + shlex.join(argv)).splitlines())
     printed = "\n".join(lines[echoed:])
     assert not re.search(r"\b(inf|nan)\b", printed, re.IGNORECASE), printed
+    return code, out
+
+
+def check_table_rows(out: str) -> None:
+    """Every row of a table-format table reaches its last column.
+
+    Each cell is left-aligned under its header word and the last cell is a
+    number, so a row that ends before the last column lost cells to a line
+    break in an earlier cell.
+    """
+    lines = re.split(r"\r\n|\r|\n", out)
+    header = next(i for i, line in enumerate(lines) if re.fullmatch(r"[a-z_]+(  +[a-z_]+)+", line))
+    last_column = lines[header].rindex(" ") + 1
+    for line in itertools.takewhile(bool, lines[header + 1:]):  # up to the blank line
+        assert len(line) > last_column, lines
 
 
 FILE = "<file>"  # stands for the path of the file an example writes
 LONG_INT = "1" + "0" * 400
 HEADER = "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark"
-# Names with a comma, a line break and a quote; none says inf or nan.
-NAMES = ("A", "B", "Titan", "a, b", "line\nbreak", 'say "hi"')
+# Names with a comma, line breaks and a quote; none says inf or nan.
+NAMES = ("A", "B", "Titan", "a, b", "line\nbreak", 'say "hi"', "carriage\rreturn")
 edge_fields = st.sampled_from(EDGE_NUMBERS + (LONG_INT, "-1", "10000", "2.5", '"open', "#"))
+
+
+@st.composite
+def spelled(draw, number: str) -> str:
+    """A number as written, or with a ``_`` between two digits, padding int() and float()
+    do not skip (\\x1c to \\x1f, which the parser strips), or both."""
+    if draw(st.booleans()):
+        number = re.sub(r"(\d)(\d)", r"\1_\2", number, count=1)
+    if draw(st.booleans()):
+        pad = st.text(alphabet="\x1c\x1d\x1e\x1f ", max_size=2)
+        number = draw(pad) + number + draw(pad)
+    return number
 
 
 @st.composite
@@ -208,13 +239,13 @@ def record_rows(draw, name: str, noisy: bool) -> str:
     rpeak = draw(st.sampled_from((100.0, 93014.6, 1e6)))
     rmax = rpeak * draw(st.floats(min_value=0.05, max_value=1.0))  # E >= 1/20 cores: invertible
     row = [
-        str(draw(st.integers(min_value=1993, max_value=2020))),
-        str(draw(st.integers(min_value=1, max_value=5))),
+        draw(spelled(str(draw(st.integers(min_value=1993, max_value=2020))))),
+        draw(spelled(str(draw(st.integers(min_value=1, max_value=5))))),
         '"' + name.replace('"', '""') + '"',
         draw(st.sampled_from(("MPP", "Cluster", "Other"))),
-        str(draw(st.integers(min_value=20, max_value=10**6))),
-        repr(rmax),
-        repr(rpeak),
+        draw(spelled(str(draw(st.integers(min_value=20, max_value=10**6))))),
+        draw(spelled(repr(rmax))),
+        draw(spelled(repr(rpeak))),
         draw(st.sampled_from(("HPL", "HPCG"))),
     ]
     if noisy and draw(st.booleans()):  # not the name, which is printed as it is
@@ -297,8 +328,13 @@ def input_path(tmp_path_factory):
 @example((f"{HEADER}\n2017,1,A,MPP,100,50,100,HPL\n{LONG_INT},1,B,MPP,100,60,100,HPL\n",
           ["timeline", "--input", FILE, "--select", "best-rmax"]), True)
 @example(("[" * 200_000, ["simulate", "--workload", FILE]), False)
+# A name with a line break once split its table row in two.
+@example((f'{HEADER}\n2016,1,"two\nlines",MPP,100,50,100,HPL\n',
+          ["timeline", "--input", FILE, "--select", "best-rmax"]), False)
 def test_any_input_file_exits_cleanly(input_path, case, csv_format):
     text, argv = case
     input_path.write_text(text, encoding="utf-8")
     argv = [str(input_path) if token == FILE else token for token in argv]
-    check_clean_exit(["--format=csv", *argv] if csv_format else argv)
+    code, out = check_clean_exit(["--format=csv", *argv] if csv_format else argv)
+    if code == 0 and not csv_format and argv[0] not in ("simulate", "sweep"):  # a record table
+        check_table_rows(out)

@@ -104,19 +104,19 @@ class TestValueTypes:
             Efficiency(0.5, inverse_excess=-1.0)
 
     def test_alpha_estimate_validation(self):
-        est = AlphaEstimate(0.25, EstimationMethod.ASSUMED, 4)
+        est = AlphaEstimate(0.25, EstimationMethod.SIMULATED, 4)
         assert est.alpha == 0.75
         with pytest.raises(ValueError):
-            AlphaEstimate(1.5, EstimationMethod.ASSUMED)
+            AlphaEstimate(1.5, EstimationMethod.SIMULATED)
         with pytest.raises(ValueError):
-            AlphaEstimate(-0.1, EstimationMethod.ASSUMED)
+            AlphaEstimate(-0.1, EstimationMethod.SIMULATED)
         with pytest.raises(ValueError):
-            AlphaEstimate(0.5, EstimationMethod.ASSUMED, cores=0)
+            AlphaEstimate(0.5, EstimationMethod.SIMULATED, cores=0)
 
     def test_method_labels_are_stable(self):
         # The CLI prints these; changing one silently breaks downstream parsing.
         assert {m.value for m in EstimationMethod} == {
-            "speedup", "efficiency", "two-point-slope", "two-timings", "simulated", "assumed",
+            "speedup", "efficiency", "two-point-slope", "two-timings", "simulated",
         }
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amdahl.core import Efficiency, alpha_eff_from_efficiency, efficiency_from_alpha
@@ -26,6 +26,7 @@ from amdahl.dataset import (
     write_records,
     yearly_mean_efficiency,
 )
+from amdahl.dataset import _derived_pair, _parse_row
 from amdahl.errors import (
     DegenerateCoresError,
     DegenerateDataError,
@@ -50,6 +51,93 @@ def record(
     benchmark=Benchmark.HPL,
 ) -> MachineRecord:
     return MachineRecord(year, rank, name, arch, cores, rmax, rpeak, benchmark)
+
+
+def stripping_parse_row(row, line_num):
+    """The record parser as it was: strip every field, then convert; the reference."""
+    if len(row) < 8:
+        raise MalformedRowError(line_num, f"expected at least 8 fields, got {len(row)}")
+    year_s, rank_s, name, arch_s, cores_s, rmax_s, rpeak_s, bench_s = (
+        cell.strip() for cell in row[:8]
+    )
+    try:
+        year, rank, cores = int(year_s), int(rank_s), int(cores_s)
+        rmax, rpeak = float(rmax_s), float(rpeak_s)
+    except ValueError as exc:
+        raise MalformedRowError(line_num, f"numeric field could not be parsed: {exc}") from exc
+    lowered = arch_s.lower()
+    if lowered == "mpp":
+        arch = Architecture.MPP
+    elif lowered == "cluster":
+        arch = Architecture.CLUSTER
+    else:
+        arch = Architecture.OTHER
+    try:
+        benchmark = Benchmark(bench_s.upper())
+    except ValueError:
+        reason = f"benchmark must be HPL or HPCG, got {bench_s!r}"
+        raise MalformedRowError(line_num, reason) from None
+    try:
+        return MachineRecord(year, rank, name, arch, cores, rmax, rpeak, benchmark)
+    except ValueError as exc:
+        raise MalformedRowError(line_num, str(exc)) from exc
+
+
+def parse_outcome(parse, row):
+    """A parsed record with its field types, or the error's type, line and message."""
+    try:
+        parsed = parse(row, 7)
+    except MalformedRowError as exc:
+        return type(exc), exc.line_num, str(exc)
+    return parsed, [type(field) for field in parsed]
+
+
+# Whitespace int() and float() skip (space, tab, line break, no-break space,
+# ideographic space, next line) and the separators they do not (\x1c to \x1f),
+# which str.strip() removes.
+PADDING = st.text(alphabet=" \t\n\r\xa0\u3000\x85\x1c\x1d\x1e\x1f", max_size=3)
+DIGITS = st.integers(min_value=-10, max_value=10**12).map(str)
+NUMERIC_FIELDS = st.one_of(
+    DIGITS,
+    st.integers(min_value=1990, max_value=2030).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=1e-3, max_value=1e9).map(repr),
+    DIGITS.map(lambda s: "_".join(s)),  # separators between every digit
+    st.sampled_from((
+        "1_000", "2_017", "1__0", "_1", "1_", "1_0.5_5", "1e1_0", "nan", "-inf", "inf", "1e999",
+        "\uff12\uff10\uff11\uff17", "\u0662\u0660\u0661\u0667", "\u0967.5", "", "x", "0x10",
+        "1" * 4301, " " + "9" * 5000, "1" * 400,
+    )),
+)
+LABELS = st.one_of(
+    st.sampled_from(("MPP", "mpp", "mPp", "Cluster", "CLUSTER", "cluster", "Vector", "Other",
+                     "HPL", "hpl", "Hpcg", "HPCG", "LINPACK", "", "\u0131")),
+    st.text(max_size=6),
+)
+padded_fields = st.builds(lambda a, field, b: a + field + b, PADDING, NUMERIC_FIELDS, PADDING)
+padded_labels = st.builds(lambda a, field, b: a + field + b, PADDING, LABELS, PADDING)
+
+
+@st.composite
+def raw_rows(draw):
+    """A csv row: numeric fields in every form, names and labels of any case, all padded;
+    sometimes short or with extra columns."""
+    row = [
+        draw(padded_fields), draw(padded_fields), draw(padded_labels), draw(padded_labels),
+        draw(padded_fields), draw(padded_fields), draw(padded_fields), draw(padded_labels),
+    ]
+    if draw(st.booleans()):  # a record that parses more often than not
+        rpeak = draw(st.floats(min_value=1.0, max_value=1e9))
+        row[:2] = [str(draw(st.integers(1, 9999))), str(draw(st.integers(1, 500)))]
+        row[4:8] = [
+            draw(st.sampled_from(("4", " 100 ", "\x1c1_000\x1f"))),
+            repr(rpeak * draw(st.floats(min_value=0.0, max_value=1.5))),  # superlinear above 1
+            draw(st.sampled_from((repr(rpeak), f"\x1d{rpeak!r} "))),
+            draw(st.sampled_from(("HPL", " hpcg", "\x1eHpl\x1f"))),
+        ]
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        row = row[: draw(st.integers(min_value=0, max_value=7))]
+    return row + draw(st.lists(st.text(max_size=3), max_size=2))  # extra columns
 
 
 class TestParsing:
@@ -140,6 +228,15 @@ class TestParsing:
             "cores must be <= 1.7976931348623157e+308, got a 1329-bit integer"
         )
 
+    @given(raw_rows())
+    @example(["2017", "1", "X", "MPP", "\x1c4\x1f", "1", "2", "HPL"])
+    @example(["2017", "1", "X", "MPP", "4", "\x1f" + "1" * 4301, "2", "HPL"])
+    @example(["\x1c" + "1" * 4301, "x", "X", "MPP", "4", "1", "2", "HPL"])
+    @example(["2017", "1", "X", "MPP", "4", "3", "2", "HPL"])
+    @example(["2017", "1", "X", "MPP", "4", "1", "2", "\x1fSPEC "])
+    def test_rows_parse_as_the_stripping_parser_did(self, row):
+        assert parse_outcome(_parse_row, row) == parse_outcome(stripping_parse_row, row)
+
     def test_read_records_from_path(self):
         records = read_records(fixture_path("top500_2017_hpl.csv"))
         assert len(records) == 10
@@ -197,6 +294,15 @@ class TestWriting:
         assert parse_records(io.StringIO(buffer.getvalue())) == original
 
 
+# rmax and rpeak as a record holds them: floats down to the smallest subnormal,
+# ints and numpy floats.
+peaks = (
+    st.floats(min_value=5e-324, max_value=1e300)
+    | st.integers(min_value=1, max_value=2**1000)
+    | st.floats(min_value=5e-324, max_value=1e300).map(np.float64)
+)
+
+
 class TestDerive:
     def test_reference_values(self):
         titan = record(cores=560640, rmax=0.649, rpeak=1.0)
@@ -239,10 +345,18 @@ class TestDerive:
 
     @given(
         st.integers(min_value=1, max_value=10**7) | st.integers(min_value=2, max_value=2**70),
-        st.floats(min_value=5e-324, max_value=1e300),
-        st.floats(min_value=5e-324, max_value=1e300),
+        peaks,
+        peaks,
     )
+    @example(1, 1.0, 2.0)  # one core
+    @example(4, 0.2, 1.0)  # E < 1/k
+    @example(4, 5e-324, 1.0)  # an inverse excess that overflows
+    @example(1000, 5e-324, 1e300)  # rmax / rpeak underflows to 0
+    @example(1000, 1, 3)  # int rmax and rpeak
+    @example(1000, np.float64(0.5), 1.0)
     def test_matches_the_checked_inversion(self, cores, a, b):
+        """derive, the best-alpha key and the derived write columns give the checked inversion's
+        floats bit for bit, or its error."""
         r = record(cores=cores, rmax=min(a, b), rpeak=max(a, b))
 
         def checked():
@@ -251,11 +365,25 @@ class TestDerive:
 
         def outcome(f):
             try:
-                return repr(f())
+                value = f()
             except ValueError as exc:
                 return type(exc), str(exc)
+            return repr(value), [type(x) for x in value]
 
-        assert outcome(lambda: derive(r)) == outcome(checked)
+        def written():
+            buffer = io.StringIO()
+            write_records([r], buffer, derived=True)
+            return tuple(map(float, buffer.getvalue().splitlines()[1].split(",")[8:]))
+
+        expected = outcome(checked)
+        assert outcome(lambda: derive(r)) == expected
+        assert outcome(lambda: derive(r).efficiency) == outcome(lambda: checked().efficiency)
+        pair = outcome(lambda: (checked().efficiency.value, checked().one_minus_alpha_eff))
+        assert outcome(lambda: _derived_pair(r)) == pair  # the best-alpha key's number
+        assert outcome(written) == pair
+        assert outcome(lambda: select_champions([r], "best-alpha")) == (
+            outcome(lambda: [r]) if isinstance(expected[0], str) else expected
+        )
 
     def test_forward_model_reproduces_fixture_efficiencies(self):
         for name in ("top500_2017_hpl.csv", "top500_2017_hpcg.csv", "early_linpack_1992.csv"):

@@ -274,7 +274,7 @@ RECORD = MachineRecord(2017, 1, "x", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HP
 TEMPLATE = WorkloadSpec(2, (SequentialPhase(1.0), ParallelPhase((1.0, 2.0))))
 COUNT_ENTRY_POINTS = {
     # name: (call, the ints it accepted, whether None means "no count" there)
-    "AlphaEstimate": (lambda v: AlphaEstimate(0.5, EstimationMethod.ASSUMED, v), cores, True),
+    "AlphaEstimate": (lambda v: AlphaEstimate(0.5, EstimationMethod.SIMULATED, v), cores, True),
     "speedup_from_alpha": (lambda v: speedup_from_alpha(0.5, v), cores, False),
     "efficiency_from_alpha": (lambda v: efficiency_from_alpha(0.5, v), cores, False),
     "alpha_eff_from_speedup": (lambda v: alpha_eff_from_speedup(1.0, v), inverts, False),
@@ -371,7 +371,7 @@ BAD_COUNT_CALLS = {
     "alpha_eff_from_speedup": lambda: alpha_eff_from_speedup(2.0, None),
     "project_curve": lambda: project_curve("2", 1.0, 0.1, [1.0]),
     "select_champions": lambda: select_champions([RECORD], ChampionCriterion.BEST_RMAX, top="2"),
-    "AlphaEstimate": lambda: AlphaEstimate(0.5, EstimationMethod.ASSUMED, "4"),
+    "AlphaEstimate": lambda: AlphaEstimate(0.5, EstimationMethod.SIMULATED, "4"),
     "sweep_alpha_eff": lambda: sweep_alpha_eff("3", TEMPLATE, [0.0], [1.0]),
     "yearly_mean_efficiency": lambda: yearly_mean_efficiency([RECORD], 2.5),
     "geometric_grid": lambda: geometric_grid(1.0, 2.0, 2.5),

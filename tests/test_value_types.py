@@ -178,8 +178,8 @@ def test_workload_spec_stores_its_phases_as_a_tuple():
 
 # (a valid value, a field change its constructor rejects, the error it raises)
 INVALID_CHANGES = [
-    (AlphaEstimate(0.25, EstimationMethod.ASSUMED), dict(one_minus_alpha=1.5), ValueError),
-    (AlphaEstimate(0.25, EstimationMethod.ASSUMED), dict(cores=0), ValueError),
+    (AlphaEstimate(0.25, EstimationMethod.SIMULATED), dict(one_minus_alpha=1.5), ValueError),
+    (AlphaEstimate(0.25, EstimationMethod.SIMULATED), dict(cores=0), ValueError),
     (Speedup(2.0), dict(value=-1.0), ValueError),
     (Efficiency(0.5), dict(value=0.25), ValueError),
     (Efficiency(0.5), dict(value=1.5), SuperlinearError),

@@ -8,6 +8,7 @@ import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -589,6 +590,13 @@ class TestSweep:
             sweep_alpha_eff(3, realistic_spec(), [0.0], [10**400])
         with pytest.raises(ValueError, match=r"^sweep ratios must be finite and >= 0, got -0\.1$"):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [-0.1])
+
+    def test_numpy_count_gives_plain_floats(self):
+        # The sweep once computed on the numpy count and returned np.float64 fractions.
+        template = WorkloadSpec(2, (ParallelPhase((1.0, 2.0)),))
+        [point] = sweep_alpha_eff(np.int64(2), template, [0.0], [0.0])
+        assert type(point.one_minus_alpha_eff) is float
+        assert point.one_minus_alpha_eff == 0.3333333333333333
 
     def test_wide_sweep_places_each_chunk_on_its_own_processor(self):
         # Computed by placing the three chunks among all 10**5 processors.
