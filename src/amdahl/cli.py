@@ -128,7 +128,15 @@ class _Output:
     def number(self, x: float) -> str:
         if self.is_table:
             return f"{x:.{self.precision - 1}e}"
-        return repr(float(x))
+        return repr(x)
+
+    @staticmethod
+    def one_line(text: str) -> str:
+        """text with each line break shown as the two characters of its escape, ``\\r`` or ``\\n``.
+
+        A title line or table row stays one line whatever the text holds.
+        """
+        return text.replace("\r", "\\r").replace("\n", "\\n")
 
     def cell(self, value: object) -> str:
         if value is None:
@@ -165,21 +173,18 @@ class _Output:
         """Rows under a header; csv puts the command line and ``comments`` in ``#`` lines first."""
         text_rows = [[self.cell(v) for v in row] for row in rows]
         if self.is_table:
-            # A line break in a cell would split its row: show it as \r or \n (csv quotes it).
-            text_rows = [[c.replace("\r", "\\r").replace("\n", "\\n") for c in row]
-                         for row in text_rows]
+            text_rows = [[self.one_line(c) for c in row] for row in text_rows]
             widths = [max(map(len, column)) for column in zip(headers, *text_rows)]
             for r in (headers, *text_rows):
                 self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
             return
-        import csv
         import shlex
 
-        from .core import _comment_lines
+        from .core import _comment_lines, _csv_writer
 
         for text in ("amdahl " + shlex.join(self.argv), *comments):
             self.out.write(_comment_lines(text))
-        writer = csv.writer(self.out, lineterminator="\n")
+        writer = _csv_writer(self.out)
         writer.writerow(headers)
         writer.writerows(text_rows)
 
@@ -438,7 +443,9 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     rows = [[pt.rpeak, pt.cores, pt.efficiency, pt.rmax] for pt in curve]
     if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
         rows = [[rp, float(k) if k > 2**53 else k, e, rmax] for rp, k, e, rmax in rows]
-        output.out.write(f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}\n")
+        output.out.write(
+            output.one_line(f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}") + "\n"
+        )
     output.table(
         ("rpeak_gflops", "cores", "efficiency", "rmax_gflops"),
         rows,

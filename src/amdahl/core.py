@@ -26,6 +26,7 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
+from typing import IO
 
 from . import _HOMES
 from .errors import (
@@ -79,9 +80,9 @@ class AlphaEstimate(_Checked, namedtuple("AlphaEstimate", "one_minus_alpha metho
     __slots__ = ()
 
     def __new__(cls, one_minus_alpha: float, method: EstimationMethod, cores: int | None = None):
-        _require_fraction(one_minus_alpha)
+        one_minus_alpha = _require_fraction(one_minus_alpha)
         if cores is not None:
-            _require_count(cores, "cores", 1)
+            cores = _require_count(cores, "cores", 1)
         return tuple.__new__(cls, (one_minus_alpha, method, cores))
 
     @property
@@ -112,19 +113,19 @@ class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
     __slots__ = ()
 
     def __new__(cls, value: float, inverse_excess: float | None = None):
-        number = _require_positive(value, "efficiency")
+        value = _require_positive(value, "efficiency")
         if value > 1.0:
             raise SuperlinearError(
                 f"superlinear measurement outside model: efficiency {value!r} exceeds 1"
             )
         if inverse_excess is None:
-            return _measured_efficiency(number)
-        _require_nonnegative(inverse_excess, "inverse_excess")
+            return _measured_efficiency(value)
+        inverse_excess = _require_nonnegative(inverse_excess, "inverse_excess")
         if abs(value * (1.0 + inverse_excess) - 1.0) > 1e-9:
             raise ValueError(
                 f"inverse_excess {inverse_excess!r} is inconsistent with value {value!r}"
             )
-        return tuple.__new__(cls, (number, inverse_excess))
+        return tuple.__new__(cls, (value, inverse_excess))
 
 
 def _measured_efficiency(value: float) -> Efficiency:
@@ -183,6 +184,21 @@ def _shown(x: object) -> str:
 def _comment_lines(text: str) -> str:
     """Text as csv comment lines: "# " before every line, so a line break cannot end the comment."""
     return "".join(f"# {line}\n" for line in text.splitlines())
+
+
+def _csv_writer(stream: IO[str]):
+    """A csv writer whose rows end in a line feed and quote every field holding a line break.
+
+    csv.writer quotes a field that holds a character of its line terminator, so a
+    line feed alone as the terminator would leave a bare carriage return unquoted,
+    where csv.reader ends the row. The writer therefore ends each row in CR LF, in
+    one write per row, and each row goes on to the stream ending in LF alone.
+    """
+    import csv
+    from types import SimpleNamespace
+
+    rows = SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
+    return csv.writer(rows, lineterminator="\r\n")
 
 
 # The guards take any object and return the float they compared; a float skips
@@ -367,9 +383,12 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
     k1, k2 = _require_count(k1, "cores", 1), _require_count(k2, "cores", 1)
     if k1 == k2:
         raise ValueError("the two timings must use different processor counts")
-    _require_positive(t1, "t1")
-    _require_positive(t2, "t2")
+    t1, t2 = _require_positive(t1, "t1"), _require_positive(t2, "t2")
     ratio = t1 / t2
+    if ratio == math.inf:
+        raise InconsistentMeasurementsError(
+            f"timing ratio {t1!r} / {t2!r} at counts {k1} and {k2} overflows the float range"
+        )
     denom = (1.0 - 1.0 / k1) - ratio * (1.0 - 1.0 / k2)
     if denom == 0.0:
         raise InconsistentMeasurementsError(
@@ -390,7 +409,7 @@ def max_speedup(one_minus_alpha: float) -> float:
         UnboundedError: the serial fraction is zero.
         ModelError: the limit lies beyond the float range.
     """
-    _require_fraction(one_minus_alpha)
+    one_minus_alpha = _require_fraction(one_minus_alpha)
     if one_minus_alpha == 0.0:
         raise UnboundedError("a perfectly parallel program has no finite speedup limit")
     ceiling = 1.0 / one_minus_alpha

@@ -29,6 +29,7 @@ from .core import (
     Efficiency,
     _Checked,
     _comment_lines,
+    _csv_writer,
     _finite,
     _from_inverse_excess,
     _measured_efficiency,
@@ -50,8 +51,8 @@ __all__ = _HOMES["dataset"]
 _HEADER = ("year", "rank", "name", "arch", "cores", "rmax_gflops", "rpeak_gflops", "benchmark")
 # The file columns plus the derived pair that write_records and `amdahl timeline` add.
 _COLUMNS = _HEADER + ("efficiency", "one_minus_alpha_eff")
-# The largest |x| fit_semilog takes: the squared deviations of such values, summed
-# over up to 10**7 points, stay inside the float range.
+# The largest |x| fit_semilog takes: the distance between two such values stays
+# inside the float range.
 _MAX_FIT_X = 1e150
 
 
@@ -87,11 +88,11 @@ class MachineRecord(
         cls, year: int, rank: int, name: str, arch: Architecture, cores: int, rmax: float,
         rpeak: float, benchmark: Benchmark,
     ):
-        _require_count(year, "year", 1, maximum=9999)
-        _require_count(rank, "rank", 1, maximum=math.inf)
-        _require_count(cores, "cores", 1)
-        _require_positive(rmax, "rmax")
-        _require_positive(rpeak, "rpeak")
+        year = _require_count(year, "year", 1, maximum=9999)
+        rank = _require_count(rank, "rank", 1, maximum=math.inf)
+        cores = _require_count(cores, "cores", 1)
+        rmax = _require_positive(rmax, "rmax")
+        rpeak = _require_positive(rpeak, "rpeak")
         if rmax > rpeak:
             raise ValueError(f"rmax {rmax!r} exceeds rpeak {rpeak!r}, which would be superlinear")
         return tuple.__new__(cls, (year, rank, name, arch, cores, rmax, rpeak, benchmark))
@@ -182,12 +183,10 @@ def write_records(
     With ``derived`` set, two extra columns (efficiency, one_minus_alpha_eff)
     are appended; the required eight stay first so the output still parses.
     """
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = _csv_writer(stream)
     if comment:
         stream.write(_comment_lines(comment))
     writer.writerow(_COLUMNS if derived else _HEADER)
-    # csv writes each float as str(), its shortest round-trip form, also for a
-    # float subclass whose repr() is not a number, such as numpy's float64.
     writer.writerows(_record_row(r, derived) for r in records)
 
 
@@ -212,8 +211,7 @@ def _derived_pair(r: MachineRecord) -> tuple[float, float]:
     columns call it. The record guarantees 0 < rmax <= rpeak, so the efficiency
     lies in (0, 1] unless the division underflows to 0.
     """
-    quotient = r.rmax / r.rpeak
-    value = float(quotient)  # numpy's float64, for one: Efficiency stores a float
+    value = r.rmax / r.rpeak
     k = r.cores  # an integer >= 1: the record checked it
     if value != 0.0 and k != 1:
         # Efficiency's inverse excess, inverted as alpha_eff_from_efficiency does.
@@ -221,7 +219,7 @@ def _derived_pair(r: MachineRecord) -> tuple[float, float]:
         if one_minus <= 1.0:
             return value, one_minus
     # An efficiency of 0, one core, or E < 1/k: the checked inversion raises its error.
-    return value, alpha_eff_from_efficiency(quotient, k).one_minus_alpha
+    return value, alpha_eff_from_efficiency(value, k).one_minus_alpha
 
 
 def _year_cohorts(records: Iterable[MachineRecord], top: int | None) -> list[list[MachineRecord]]:
@@ -252,7 +250,7 @@ def select_champions(
     only each year's first ``top`` records by (rank, name) compete.
     """
     if top is not None:
-        _require_count(top, "top", 1, maximum=math.inf)
+        top = _require_count(top, "top", 1, maximum=math.inf)
     if ChampionCriterion(by) is ChampionCriterion.BEST_RMAX:
         key = lambda r: (-r.rmax, r.rank, r.name)
     else:
@@ -274,7 +272,8 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
 
     Raises:
         NonPositiveValueError: some y is not a finite int or float > 0.
-        ModelError: some x is not a finite int or float, or exceeds 1e150 in magnitude.
+        ModelError: some x is not a finite int or float, or exceeds 1e150 in magnitude,
+            or the x values lie so close that the slope overflows the float range.
         DegenerateDataError: all x are identical, no slope exists.
         ValueError: fewer than two points.
     """
@@ -292,16 +291,25 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     if n < 2:
         raise ValueError(f"a fit needs at least 2 points, got {n}")
 
-    x_mean = statistics.fmean(xs)
-    y_mean = statistics.fmean(ys)
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    if sxx == 0.0:
+    # x centred on its first point and scaled by the largest distance from it: a
+    # rounded mean of large x would lose the spread, and squares of a tiny spread
+    # would underflow.
+    x0 = xs[0]
+    spread = max(abs(x - x0) for x in xs)
+    if spread == 0.0:
         raise DegenerateDataError("all x values are identical, the slope is undefined")
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
+    us = [(x - x0) / spread for x in xs]
+    u_mean = statistics.fmean(us)
+    y_mean = statistics.fmean(ys)
+    sxx = sum((u - u_mean) ** 2 for u in us)
+    sxy = sum((u - u_mean) * (y - y_mean) for u, y in zip(us, ys))
+    slope_u = sxy / sxx  # per unit of spread
+    slope = slope_u / spread
+    if math.isinf(slope):
+        raise ModelError(f"the slope {slope_u!r} / {spread!r} overflows the float range")
+    intercept = y_mean - slope_u * u_mean - slope * x0
 
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    ss_res = sum((y - y_mean - slope_u * (u - u_mean)) ** 2 for u, y in zip(us, ys))
     ss_tot = sum((y - y_mean) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return RegressionFit(slope=slope, intercept=intercept, r_squared=r_squared, n=n)
@@ -324,7 +332,7 @@ def yearly_mean_efficiency(
     standard deviation is the population form: these are the complete top-N
     cohorts, not samples from something larger.
     """
-    _require_count(top_n, "top_n", 1, maximum=math.inf)
+    top_n = _require_count(top_n, "top_n", 1, maximum=math.inf)
     rows = []
     for cohort in _year_cohorts(records, top_n):
         efficiencies = [r.rmax / r.rpeak for r in cohort]

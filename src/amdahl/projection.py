@@ -60,9 +60,8 @@ def geometric_grid(start: float, stop: float, points: int) -> list[float]:
             that is not finite and > 0.
         ModelError: more than ``_MAX_GRID_POINTS`` (10**6) points.
     """
-    _require_count(points, "points", 2, "a grid needs at least 2 points", maximum=math.inf)
-    _require_positive(start, "grid start")
-    _require_positive(stop, "grid stop")
+    points = _require_count(points, "points", 2, "a grid needs at least 2 points", maximum=math.inf)
+    start, stop = _require_positive(start, "grid start"), _require_positive(stop, "grid stop")
     if points > _MAX_GRID_POINTS:
         raise ModelError(f"a grid has at most {_MAX_GRID_POINTS} points, got {_shown(points)}")
     ratio = (stop / start) ** (1.0 / (points - 1))
@@ -104,16 +103,12 @@ def project_curve(
         peak = _require_positive(rp, "grid rpeak")
         cores = _cores_at(peak, base_cores, base_rpeak)  # in [1, the float range]
         e = _efficiency(x, cores)
-        points.append(CurvePoint(rpeak=rp, cores=cores, efficiency=e, rmax=e * rp))
+        points.append(CurvePoint(rpeak=peak, cores=cores, efficiency=e, rmax=e * peak))
     return points
 
 
 def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
-    """Core count reaching rpeak at the base per-core peak: rounded, at least 1.
-
-    Takes a checked plain int count and checked float peaks: a numpy count times
-    an int peak, or an int product, would raise OverflowError.
-    """
+    """Core count reaching rpeak at the base per-core peak: rounded, at least 1."""
     cores = base_cores * rpeak / base_rpeak
     if math.isinf(cores):  # the product can overflow where the count does not
         cores = base_cores * (rpeak / base_rpeak)
@@ -128,7 +123,6 @@ def _cores_at(rpeak: float, base_cores: int, base_rpeak: float) -> int:
 class ScalingScenario(_Checked, namedtuple(
     "ScalingScenario",
     "base_one_minus_alpha base_cores alpha_scale_factor base_rpeak target_cores target_rpeak",
-    defaults=(1.0, None, None, None),
 )):
     """A hypothetical upgrade: new size and peak, optionally a new code base.
 
@@ -141,36 +135,38 @@ class ScalingScenario(_Checked, namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_fraction(self.base_one_minus_alpha, "base_one_minus_alpha")
-        _require_count(self.base_cores, "cores", 1)
-        _require_nonnegative(self.alpha_scale_factor, "alpha_scale_factor")
-        for label, value in (("base_rpeak", self.base_rpeak), ("target_rpeak", self.target_rpeak)):
-            if value is not None:
-                _require_positive(value, label)
-        if self.target_cores is not None:
-            _require_count(self.target_cores, "cores", 1)
-        if self.target_cores is None and self.target_rpeak is None:
+    def __new__(cls, base_one_minus_alpha: float, base_cores: int,
+                alpha_scale_factor: float = 1.0, base_rpeak: float | None = None,
+                target_cores: int | None = None, target_rpeak: float | None = None):
+        base_one_minus_alpha = _require_fraction(base_one_minus_alpha, "base_one_minus_alpha")
+        base_cores = _require_count(base_cores, "cores", 1)
+        alpha_scale_factor = _require_nonnegative(alpha_scale_factor, "alpha_scale_factor")
+        if base_rpeak is not None:
+            base_rpeak = _require_positive(base_rpeak, "base_rpeak")
+        if target_rpeak is not None:
+            target_rpeak = _require_positive(target_rpeak, "target_rpeak")
+        if target_cores is not None:
+            target_cores = _require_count(target_cores, "cores", 1)
+        if target_cores is None and target_rpeak is None:
             raise ValueError("a scenario needs target_cores, target_rpeak, or both")
-        if (self.target_cores is None or self.target_rpeak is None) and self.base_rpeak is None:
+        if (target_cores is None or target_rpeak is None) and base_rpeak is None:
             raise ValueError(
                 "base_rpeak is required to derive the missing target from the per-core peak"
             )
-        return self
+        return tuple.__new__(cls, (base_one_minus_alpha, base_cores, alpha_scale_factor,
+                                   base_rpeak, target_cores, target_rpeak))
 
     @property
     def resolved_target_cores(self) -> int:
         if self.target_cores is not None:
             return self.target_cores
-        return _cores_at(float(self.target_rpeak), int(self.base_cores), float(self.base_rpeak))
+        return _cores_at(self.target_rpeak, self.base_cores, self.base_rpeak)
 
     @property
     def resolved_target_rpeak(self) -> float:
         if self.target_rpeak is not None:
             return self.target_rpeak
-        # A float product: a numpy one would overflow with a RuntimeWarning, not to inf quietly.
-        rpeak = int(self.target_cores) * float(self.base_rpeak / self.base_cores)
+        rpeak = self.target_cores * (self.base_rpeak / self.base_cores)
         if not math.isfinite(rpeak):
             raise ModelError(f"target peak of {self.target_cores} cores overflows the float range")
         return rpeak
@@ -228,8 +224,8 @@ def saturation_rmax(per_processor_rpeak: float, one_minus_alpha: float) -> float
         UnboundedError: the serial fraction is zero, there is no ceiling.
         ModelError: the ceiling lies beyond the float range.
     """
-    _require_positive(per_processor_rpeak, "per_processor_rpeak")
-    _require_fraction(one_minus_alpha)
+    per_processor_rpeak = _require_positive(per_processor_rpeak, "per_processor_rpeak")
+    one_minus_alpha = _require_fraction(one_minus_alpha)
     if one_minus_alpha == 0.0:
         raise UnboundedError("serial fraction is zero, throughput grows without bound")
     ceiling = per_processor_rpeak / one_minus_alpha
@@ -245,7 +241,6 @@ class ContributionBudget(_Checked, namedtuple(
     "ContributionBudget",
     "clock_hz total_time_s hardware_cycles os_cycles software_cycles physical_size_m "
     "per_processor_flops",
-    defaults=(0.0, 0.0, 0.0, 0.0, None),
 )):
     """Cycle budget of everything that cannot parallelize, for a bound on 1 - alpha.
 
@@ -256,17 +251,19 @@ class ContributionBudget(_Checked, namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_positive(self.clock_hz, "clock_hz")
-        _require_positive(self.total_time_s, "total_time_s")
-        _require_nonnegative(self.hardware_cycles, "hardware_cycles")
-        _require_nonnegative(self.os_cycles, "os_cycles")
-        _require_nonnegative(self.software_cycles, "software_cycles")
-        _require_nonnegative(self.physical_size_m, "physical_size_m")
-        if self.per_processor_flops is not None:
-            _require_positive(self.per_processor_flops, "per_processor_flops")
-        return self
+    def __new__(cls, clock_hz: float, total_time_s: float, hardware_cycles: float = 0.0,
+                os_cycles: float = 0.0, software_cycles: float = 0.0,
+                physical_size_m: float = 0.0, per_processor_flops: float | None = None):
+        return tuple.__new__(cls, (
+            _require_positive(clock_hz, "clock_hz"),
+            _require_positive(total_time_s, "total_time_s"),
+            _require_nonnegative(hardware_cycles, "hardware_cycles"),
+            _require_nonnegative(os_cycles, "os_cycles"),
+            _require_nonnegative(software_cycles, "software_cycles"),
+            _require_nonnegative(physical_size_m, "physical_size_m"),
+            None if per_processor_flops is None
+            else _require_positive(per_processor_flops, "per_processor_flops"),
+        ))
 
 
 class BoundsResult(NamedTuple):

@@ -73,29 +73,28 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
 
     def __new__(cls, processors: int, phases: Iterable[Phase]):
         # At most sys.maxsize: the simulator keeps one list slot per processor.
-        _require_count(processors, "processors", 1, error=InvalidWorkloadError,
-                       maximum=sys.maxsize, excess=InvalidWorkloadError)
-        phases = tuple(phases)
+        processors = _require_count(processors, "processors", 1, error=InvalidWorkloadError,
+                                    maximum=sys.maxsize, excess=InvalidWorkloadError)
+        phases = tuple(_checked_phase(phase, i) for i, phase in enumerate(phases, 1))
         if not phases:
             raise InvalidWorkloadError("a workload needs at least one phase")
-        for i, phase in enumerate(phases, 1):
-            _validate_phase(phase, i)
         return tuple.__new__(cls, (processors, phases))
 
 
-def _validate_phase(phase: Phase, index: int) -> None:
+def _checked_phase(phase: Phase, index: int) -> Phase:
+    """The phase rebuilt from the numbers its checks return."""
     try:
         if isinstance(phase, SequentialPhase):
-            _require_positive(phase.duration, "sequential duration")
-        elif isinstance(phase, ParallelPhase):
+            return SequentialPhase(_require_positive(phase.duration, "sequential duration"))
+        if isinstance(phase, ParallelPhase):
             if not phase.chunks:
                 raise ValueError("a parallel phase needs at least one chunk")
-            for j, c in enumerate(phase.chunks, 1):
-                _require_positive(c, f"chunk {j}")
-            _require_nonnegative(phase.dispatch_overhead, "dispatch overhead")
-            _require_nonnegative(phase.collect_overhead, "collect overhead")
-        else:
-            raise ValueError(f"unknown phase object {phase!r}")
+            return ParallelPhase(
+                tuple(_require_positive(c, f"chunk {j}") for j, c in enumerate(phase.chunks, 1)),
+                _require_nonnegative(phase.dispatch_overhead, "dispatch overhead"),
+                _require_nonnegative(phase.collect_overhead, "collect overhead"),
+            )
+        raise ValueError(f"unknown phase object {phase!r}")
     except ValueError as exc:
         raise InvalidWorkloadError(f"phase {index}: {exc}") from None
 

@@ -23,7 +23,15 @@ import pytest
 import amdahl
 from amdahl.cli import main, run
 from amdahl.core import alpha_eff_from_efficiency
-from amdahl.dataset import fixture_path, parse_records, read_records
+from amdahl.dataset import (
+    Architecture,
+    Benchmark,
+    MachineRecord,
+    fixture_path,
+    parse_records,
+    read_records,
+    write_records,
+)
 
 HPL = fixture_path("top500_2017_hpl.csv")
 HPCG = fixture_path("top500_2017_hpcg.csv")
@@ -160,6 +168,14 @@ class TestAlpha:
     def test_out_of_domain_values_exit_2(self, capsys, argv, message):
         assert cli(capsys, "alpha", *argv) == (2, "", f"error: {message}\n")
 
+    def test_timing_ratio_beyond_the_float_range_exits_2(self, capsys):
+        # The message once gave the serial fraction the overflowed ratio implies: nan.
+        argv = ("alpha", "--t1", "1e308", "--k1", "1", "--t2", "5e-324", "--k2", "2")
+        assert cli(capsys, *argv) == (
+            2, "", "error: timing ratio 1e+308 / 5e-324 at counts 1 and 2 "
+            "overflows the float range\n",
+        )
+
     def test_model_violations_exit_2(self, capsys):
         code, _, err = cli(capsys, "alpha", "--efficiency", "1.2", "--cores", "4")
         assert code == 2 and "exceeds 1" in err
@@ -289,6 +305,18 @@ class TestTimeline:
         assert records[0].name == "Sunway TaihuLight"
         header = next(ln for ln in out.splitlines() if ln.startswith("year,"))
         assert header.endswith("efficiency,one_minus_alpha_eff")
+
+    def test_csv_quotes_a_name_with_a_bare_carriage_return(self, capsys, tmp_path):
+        # The name was written unquoted, and the output did not parse back.
+        original = [MachineRecord(2017, 1, "c\rr", Architecture.MPP, 4, 1.0, 2.0, Benchmark.HPL)]
+        path = tmp_path / "cr.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_records(original, fh)
+        code, out, err = cli(
+            capsys, "--format", "csv", "timeline", "--input", str(path), "--select", "best-rmax"
+        )
+        assert (code, err) == (0, "")
+        assert parse_records(io.StringIO(out)) == original
 
     def test_best_alpha_on_single_year(self, capsys):
         code, out, _ = cli(
@@ -496,6 +524,24 @@ class TestProject:
             "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2",
         )
         assert code == 1
+
+    def test_title_line_escapes_a_line_break_in_the_name(self, capsys, tmp_path):
+        # The title printed the raw name, so a line break split it in two.
+        path = tmp_path / "names.csv"
+        path.write_text(
+            'year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n'
+            '2017,1,"two\nlines",MPP,100,50,100,HPL\n',
+            encoding="utf-8",
+        )
+        code, out, err = cli(
+            capsys, "project", "--input", str(path), "--name", "two\nlines",
+            "--rpeak-from", "1", "--rpeak-to", "100", "--points", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            "base: name=two\\nlines cores=100 rpeak_gflops=100.0  one_minus_alpha=1.010e-02",
+            "rpeak_gflops  cores  efficiency  rmax_gflops",
+        ]
 
     def test_unknown_and_ambiguous_names_exit_2(self, capsys, tmp_path):
         code, _, err = cli(

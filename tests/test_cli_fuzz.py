@@ -17,8 +17,8 @@ throughout; in the other half, fields are replaced by edge tokens, rows cut
 short, JSON values given the wrong type and the text truncated. Record numbers
 are sometimes written with a ``_`` between digits or padded with \\x1c to
 \\x1f, and names hold line breaks; a record table printed in table format
-keeps each row on one line. Workloads name at most 16 processors, or a count
-every subcommand rejects.
+keeps each row on one line, and csv output of ``timeline`` parses back.
+Workloads name at most 16 processors, or a count every subcommand rejects.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amdahl.cli import run
-from amdahl.dataset import fixture_path
+from amdahl.dataset import fixture_path, parse_records
 
 EDGE_NUMBERS = (
     "nan", "-nan", "inf", "-inf", "0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.5e-320",
@@ -338,3 +338,5 @@ def test_any_input_file_exits_cleanly(input_path, case, csv_format):
     code, out = check_clean_exit(["--format=csv", *argv] if csv_format else argv)
     if code == 0 and not csv_format and argv[0] not in ("simulate", "sweep"):  # a record table
         check_table_rows(out)
+    if code == 0 and csv_format and argv[0] == "timeline":  # records that parse back
+        parse_records(io.StringIO(out))

@@ -278,6 +278,14 @@ class TestTwoPointEstimators:
         with pytest.raises(ValueError):
             alpha_from_two_timings(1.0, 1, 0.0, 4)
 
+    def test_timing_ratio_beyond_the_float_range(self):
+        # The ratio overflowed to inf, and the message gave a serial fraction of nan.
+        with pytest.raises(
+            InconsistentMeasurementsError,
+            match=r"^timing ratio 1e\+308 / 5e-324 at counts 1 and 2 overflows the float range$",
+        ):
+            alpha_from_two_timings(1e308, 1, 5e-324, 2)
+
 
 class TestMaxSpeedup:
     def test_reference_points(self):

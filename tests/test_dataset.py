@@ -275,6 +275,14 @@ class TestWriting:
         assert buffer.getvalue().splitlines()[1].split(",")[5:7] == ["0.5", "1.0"]
         assert parse_records(io.StringIO(buffer.getvalue())) == [original]
 
+    def test_line_breaks_in_a_name_round_trip(self):
+        # csv.writer ending rows in \n alone left a bare \r unquoted, ending the row early.
+        original = [record(name="c\rr"), record(name="c\r\nr", rank=2), record(name="c\nr", rank=3)]
+        buffer = io.StringIO()
+        write_records(original, buffer, derived=True)
+        assert buffer.getvalue().split("\n")[1].startswith('2017,1,"c\rr",MPP,')
+        assert parse_records(io.StringIO(buffer.getvalue())) == original
+
     def test_comment_line_starts_with_hash(self):
         buffer = io.StringIO()
         write_records([record()], buffer, comment="amdahl table --input x.csv")
@@ -504,6 +512,25 @@ class TestSemilogFit:
         with pytest.raises(ModelError) as excinfo:
             fit_semilog([(2000.0, 1.0), (x, 2.0), (2010.0, 3.0)])
         assert str(excinfo.value) == f"x must be finite and at most 1e150 in magnitude, got {shown}"
+
+    @pytest.mark.parametrize(
+        ("points", "slope"),
+        [
+            ([(2.0**60, 10.0), (2.0**60 + 256, 100.0)], 0.00390625),  # a spread of one ulp of x
+            ([(0.0, 1.0), (1e-170, 10.0)], 1e170),  # a spread whose square underflows
+        ],
+        ids=["ulp-spread", "tiny-spread"],
+    )
+    def test_spread_at_the_edges_of_the_float_range(self, points, slope):
+        # Centred on the rounded mean, the first gave slope 0.001953125 and r_squared
+        # 0.5, and the second raised DegenerateDataError.
+        fit = fit_semilog(points)
+        assert (fit.slope, fit.r_squared) == (slope, 1.0)
+
+    def test_slope_beyond_the_float_range(self):
+        message = r"^the slope 1\.0 / 5e-324 overflows the float range$"
+        with pytest.raises(ModelError, match=message):
+            fit_semilog([(0.0, 1.0), (5e-324, 10.0)])
 
     def test_largest_x_fits(self):
         fit = fit_semilog([(-1e150, 1.0), (1e150, 100.0)])

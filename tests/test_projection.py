@@ -70,13 +70,14 @@ class TestGeometricGrid:
             (1e-300, 1e300, 4),
             (1.0, sys.float_info.max, 5),  # the last power rounds past the float range
             (1e300, 1e-300, 4),  # stop / start underflows to 0
+            (np.float64(1e-300), 1e300, 3),  # once a numpy overflow warning
         ],
     )
     def test_endpoints_further_apart_than_the_float_range(self, start, stop, points):
         grid = geometric_grid(start, stop, points)
         assert len(grid) == points
         assert (grid[0], grid[-1]) == (start, stop)
-        assert all(0.0 < x < math.inf for x in grid)
+        assert all(type(x) is float and 0.0 < x < math.inf for x in grid)
         ascending = grid if stop > start else grid[::-1]
         assert all(a < b for a, b in zip(ascending, ascending[1:]))
 
