@@ -363,6 +363,11 @@ def alpha_from_two_efficiencies(
     if k1 == k2:
         raise ValueError("the two measurements must use different processor counts")
     slope = (eb.inverse_excess - ea.inverse_excess) / (k2 - k1)
+    if not math.isfinite(slope):  # an efficiency below about 5.6e-309 has an infinite 1/E - 1
+        raise InconsistentMeasurementsError(
+            f"two-point slope of efficiencies {ea.value!r} at {k1} and {eb.value!r} at {k2} "
+            "overflows the float range"
+        )
     if not 0.0 <= slope < 1.0:
         raise InconsistentMeasurementsError(
             f"two-point slope {slope!r} admits no parallel fraction in (0, 1]"
@@ -395,6 +400,11 @@ def alpha_from_two_timings(t1: float, k1: int, t2: float, k2: int) -> AlphaEstim
             f"timing ratio {ratio!r} at counts {k1} and {k2} has no finite solution"
         )
     x = _snap_to_unit((ratio / k2 - 1.0 / k1) / denom)
+    if not math.isfinite(x):  # only at k2 = 1, where x grows as the ratio does
+        raise InconsistentMeasurementsError(
+            f"timing ratio {t1!r} / {t2!r} at counts {k1} and {k2} implies a serial fraction "
+            "that overflows the float range"
+        )
     if not 0.0 <= x <= 1.0:
         raise InconsistentMeasurementsError(
             f"timing ratio {ratio!r} at counts {k1} and {k2} implies serial fraction {x!r}"

@@ -38,7 +38,6 @@ from .core import (
     EstimationMethod,
     Speedup,
     _Checked,
-    _finite,
     _from_speedup,
     _require_count,
     _require_nonnegative,
@@ -87,10 +86,16 @@ def _checked_phase(phase: Phase, index: int) -> Phase:
         if isinstance(phase, SequentialPhase):
             return SequentialPhase(_require_positive(phase.duration, "sequential duration"))
         if isinstance(phase, ParallelPhase):
-            if not phase.chunks:
+            chunks = tuple(phase.chunks or ())  # read once: the chunks may be an iterator
+            if not chunks:
                 raise ValueError("a parallel phase needs at least one chunk")
+            try:
+                checked = tuple([_require_positive(c, "chunk") for c in chunks])
+            except ValueError:  # check again, naming each chunk, to report the first bad one
+                for j, c in enumerate(chunks, 1):
+                    _require_positive(c, f"chunk {j}")
             return ParallelPhase(
-                tuple(_require_positive(c, f"chunk {j}") for j, c in enumerate(phase.chunks, 1)),
+                checked,
                 _require_nonnegative(phase.dispatch_overhead, "dispatch overhead"),
                 _require_nonnegative(phase.collect_overhead, "collect overhead"),
             )
@@ -262,7 +267,9 @@ def sweep_alpha_eff(
     Grid points are emitted with the overhead ratio as the outer loop.
 
     Raises:
-        ValueError: a processor count that is no integer or below 2.
+        ValueError: a processor count that is no integer or below 2, or a
+            ratio that is negative or not a finite number.
+        InvalidTemplateError: a template without exactly one parallel phase.
         InvalidWorkloadError: more than ``sys.maxsize`` processors, or the
             chunks' or a grid point's times overflow the float range.
     """
@@ -314,7 +321,16 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
                     {"type": "parallel", "dispatch": 0.5, "collect": 1.0,
                      "chunks": [2.5, 2.0, 3.0]}]}
 
-    ``dispatch`` and ``collect`` default to 0 when omitted.
+    ``dispatch`` and ``collect`` default to 0 when omitted. The loader reads
+    only this shape and hands every value, ``processors`` included, to
+    :class:`WorkloadSpec` unchanged, which checks them.
+
+    Raises:
+        InvalidWorkloadError: the text is no JSON, holds an integer longer than
+            ``int()`` reads or nests too deeply; the document is no object,
+            ``phases`` no array, a phase no object, its ``type`` unknown or its
+            ``chunks`` no array; or, raised by ``WorkloadSpec``, a bad
+            ``processors`` or the first bad value of a phase.
     """
     text = source.read()  # outside the try: a decoding error is no long number
     try:
@@ -341,31 +357,14 @@ def load_workload(source: IO[str]) -> WorkloadSpec:
             raise InvalidWorkloadError(f"phase {i} must be an object, got {item!r}")
         kind = item.get("type")
         if kind == "sequential":
-            phases.append(
-                SequentialPhase(_number(item.get("duration"), f"phase {i}: 'duration'"))
-            )
+            phases.append(SequentialPhase(item.get("duration")))
         elif kind == "parallel":
             chunks = item.get("chunks")
-            if not isinstance(chunks, list) or not chunks:
+            if not isinstance(chunks, list):
                 raise InvalidWorkloadError(f"phase {i}: 'chunks' must be a non-empty array")
-            phases.append(
-                ParallelPhase(
-                    chunks=tuple(
-                        _number(c, f"phase {i}: chunk {j}") for j, c in enumerate(chunks, 1)
-                    ),
-                    dispatch_overhead=_number(item.get("dispatch", 0.0), f"phase {i}: 'dispatch'"),
-                    collect_overhead=_number(item.get("collect", 0.0), f"phase {i}: 'collect'"),
-                )
-            )
+            phases.append(ParallelPhase(chunks, item.get("dispatch", 0), item.get("collect", 0)))
         else:
             raise InvalidWorkloadError(
                 f"phase {i}: 'type' must be 'sequential' or 'parallel', got {kind!r}"
             )
     return WorkloadSpec(doc.get("processors"), phases)
-
-
-def _number(value: object, what: str) -> float:
-    number = _finite(value)
-    if number is None:
-        raise InvalidWorkloadError(f"{what} must be a finite number, got {value!r}")
-    return number

@@ -8,6 +8,10 @@ finite plain floats, no numpy scalar, or raise a ``ValueError`` subclass. Any
 warning is an error, so a numpy ``RuntimeWarning`` fails the call, as does an
 ``OverflowError``, ``ZeroDivisionError`` or ``TypeError``.
 
+Two more entries build inputs that pass the checks, a sweep template with one
+parallel phase and a budget below the run's cycles, so that most of their calls
+reach the arithmetic behind them.
+
 The one float a result may hold as inf is ``Efficiency.inverse_excess``, 1/E - 1,
 which overflows for an efficiency below about 5.6e-309.
 
@@ -66,6 +70,7 @@ from amdahl import (
     write_records,
     yearly_mean_efficiency,
 )
+from amdahl.projection import SPEED_OF_LIGHT_M_PER_S
 
 EDGE_FLOATS = (
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 2.0, 1e300, 1e308,
@@ -170,6 +175,40 @@ def sweep(processors, phases, overhead, sequential):
     return sweep_alpha_eff(processors, WorkloadSpec(2, phases), overhead, sequential)
 
 
+# A template with exactly one parallel phase among up to two sequential ones, and
+# counts and ratios a sweep accepts, so that most sweeps run their grid.
+sweep_counts = like(plain_or_numpy(st.integers(min_value=2, max_value=64), np.int64))
+moderate = plain_or_numpy(st.floats(min_value=1e-3, max_value=1e3), np.float64)
+sweep_ratios = st.lists(
+    like(plain_or_numpy(st.floats(min_value=0.0, max_value=10.0), np.float64)),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def sweep_templates(draw):
+    phases = draw(st.lists(st.builds(SequentialPhase, moderate), max_size=2))
+    chunks = draw(st.lists(moderate, min_size=1, max_size=4))
+    parallel = ParallelPhase(tuple(chunks), draw(moderate), draw(moderate))
+    phases.insert(draw(st.integers(min_value=0, max_value=len(phases))), parallel)
+    return phases
+
+
+@st.composite
+def feasible_budgets(draw):
+    """A ContributionBudget whose serial cycles sum to less than clock_hz * total_time_s."""
+    clock = draw(st.floats(min_value=1.0, max_value=1e12))
+    time = draw(st.floats(min_value=1e-6, max_value=1e6))
+    shares = draw(st.lists(st.floats(min_value=0.0, max_value=0.24), min_size=4, max_size=4))
+    cycles = [share * clock * time for share in shares[:3]]
+    size = shares[3] * time * SPEED_OF_LIGHT_M_PER_S / 2.0  # that share of cycles, in metres
+    fields = [np.float64(x) if draw(st.booleans()) else x for x in (clock, time, *cycles, size)]
+    flops = draw(st.one_of(st.none(), plain_or_numpy(
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308), np.float64
+    )))
+    return ContributionBudget(*fields, flops)
+
+
 def load(processors, duration, chunks, dispatch, collect):
     doc = {"processors": processors, "phases": [
         {"type": "sequential", "duration": duration},
@@ -217,6 +256,7 @@ ENTRIES: dict[str, tuple[Callable, tuple]] = {
     "yearly_mean_efficiency": (yearly_mean_efficiency, (st.just(RECORDS), C)),
     "ContributionBudget": (ContributionBudget, (P, P, P, P, P, P, P)),
     "bounds": (bounds_budget, (P, P, P, P, P, P, P)),
+    "bounds-feasible": (bounds, (feasible_budgets(),)),
     "ScalingScenario": (ScalingScenario, (F, C, P, P, C, P)),
     "whatif": (whatif_scenario, (F, C, P, P, C, P)),
     "geometric_grid": (geometric_grid, (P, P, C)),
@@ -226,6 +266,9 @@ ENTRIES: dict[str, tuple[Callable, tuple]] = {
     "WorkloadSpec": (WorkloadSpec, (C, phases)),
     "simulate": (simulate_spec, (C, phases)),
     "sweep_alpha_eff": (sweep, (C, phases, few_positives, few_positives)),
+    "sweep_alpha_eff-template": (
+        sweep, (sweep_counts, sweep_templates(), sweep_ratios, sweep_ratios)
+    ),
     "load_workload": (load, (C, P, few_positives, P, P)),
 }
 # The public names the fuzz does not call, and why.

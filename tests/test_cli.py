@@ -176,6 +176,22 @@ class TestAlpha:
             "overflows the float range\n",
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--t1", "1e308", "--k1", "2", "--t2", "1", "--k2", "1"),
+            ("--e1", "2.2e-309", "--k1", "7", "--e2", "2.2e-309", "--k2", "1000001"),
+            ("--e1", "5e-324", "--k1", "17", "--e2", "0.3", "--k2", "9"),
+        ],
+        ids=["timings", "slope-nan", "slope-inf"],
+    )
+    def test_two_point_result_beyond_the_float_range_exits_2(self, capsys, argv):
+        # Each message once printed the overflowed result: inf or nan.
+        code, out, err = cli(capsys, "alpha", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("overflows the float range\n")
+        assert not re.search(r"\b(inf|nan)\b", err)
+
     def test_model_violations_exit_2(self, capsys):
         code, _, err = cli(capsys, "alpha", "--efficiency", "1.2", "--cores", "4")
         assert code == 2 and "exceeds 1" in err
@@ -259,7 +275,9 @@ class TestSimulate:
         )
         code, out, err = cli(capsys, "simulate", "--workload", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: phase 1: 'duration' must be a finite number")
+        assert err == (
+            "error: phase 1: sequential duration must be finite and > 0, got a 1329-bit integer\n"
+        )
 
     def test_processors_beyond_an_index_exit_2(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

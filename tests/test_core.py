@@ -229,12 +229,24 @@ class TestTwoPointEstimators:
         # Slope of 1 or more: no admissible parallel fraction.
         with pytest.raises(InconsistentMeasurementsError):
             alpha_from_two_efficiencies(Efficiency(1.0), 1, Efficiency(1.0 / 3.0), 2)
-        # Each inverse excess overflows to inf, so the slope is inf - inf: nan.
-        with pytest.raises(
-            InconsistentMeasurementsError,
-            match=r"^two-point slope nan admits no parallel fraction in \(0, 1\]$",
-        ):
-            alpha_from_two_efficiencies(5e-324, 2, 5e-324, 3)
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            # Each inverse excess overflows to inf, so the slope is inf - inf: nan.
+            ((5e-324, 2, 5e-324, 3), "5e-324 at 2 and 5e-324 at 3"),
+            ((2.2e-309, 7, 2.2e-309, 1000001), "2.2e-309 at 7 and 2.2e-309 at 1000001"),
+            # One inverse excess overflows, so the slope is inf.
+            ((5e-324, 17, 0.3, 9), "5e-324 at 17 and 0.3 at 9"),
+        ],
+    )
+    def test_slope_beyond_the_float_range(self, args, shown):
+        # The message once gave the slope itself: nan or inf.
+        with pytest.raises(InconsistentMeasurementsError) as excinfo:
+            alpha_from_two_efficiencies(*args)
+        assert str(excinfo.value) == (
+            f"two-point slope of efficiencies {shown} overflows the float range"
+        )
 
     def test_rejects_equal_counts(self):
         with pytest.raises(ValueError):
@@ -285,6 +297,15 @@ class TestTwoPointEstimators:
             match=r"^timing ratio 1e\+308 / 5e-324 at counts 1 and 2 overflows the float range$",
         ):
             alpha_from_two_timings(1e308, 1, 5e-324, 2)
+
+    def test_serial_fraction_beyond_the_float_range(self):
+        # With k2 = 1 the solution grows as the ratio does, and overflowed to inf.
+        with pytest.raises(InconsistentMeasurementsError) as excinfo:
+            alpha_from_two_timings(1e308, 2, 1.0, 1)
+        assert str(excinfo.value) == (
+            "timing ratio 1e+308 / 1.0 at counts 2 and 1 implies a serial fraction "
+            "that overflows the float range"
+        )
 
 
 class TestMaxSpeedup:

@@ -223,12 +223,23 @@ class TestWorkloadValidation:
             (ParallelPhase(chunks=(1.0,), collect_overhead=-0.5),
              "phase 1: collect overhead must be finite and >= 0, got -0.5"),
             ("seq", "phase 1: unknown phase object 'seq'"),
+            (ParallelPhase(chunks=None), "phase 1: a parallel phase needs at least one chunk"),
+            # An empty iterator is truthy, and once built a phase simulate could not run.
+            (ParallelPhase(chunks=iter(())),
+             "phase 1: a parallel phase needs at least one chunk"),
+            # The chunks are read once, so the bad one is named from what was read.
+            (ParallelPhase(chunks=(c for c in (1.0, -2.0, math.nan))),
+             "phase 1: chunk 2 must be finite and > 0, got -2.0"),
         ],
     )
     def test_phase_messages(self, phase, message):
         with pytest.raises(InvalidWorkloadError) as excinfo:
             WorkloadSpec(processors=2, phases=(phase,))
         assert str(excinfo.value) == message
+
+    def test_chunks_are_read_once_from_an_iterator(self):
+        spec = WorkloadSpec(2, (ParallelPhase(c for c in (1, 2.0)),))
+        assert spec.phases == (ParallelPhase((1.0, 2.0)),)
 
     def test_processors_beyond_an_index_are_rejected(self):
         # Only counts past sys.maxsize: smaller ones would really be allocated.
@@ -756,6 +767,75 @@ class TestLoadWorkload:
         ids=["processors-string", "processors-missing", "no-phases", "phase-before-processors"],
     )
     def test_spec_rules_are_reported_by_the_spec(self, doc, message):
+        with pytest.raises(InvalidWorkloadError) as excinfo:
+            load_workload(io.StringIO(json.dumps(doc)))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        ("field", "bad"),
+        [
+            pytest.param(field, bad, id=f"{field}-{name}")
+            for field in ("duration", "chunk", "dispatch", "collect")
+            for name, bad in [
+                ("string", "1"), ("null", None), ("true", True), ("NaN", math.nan),
+                ("Infinity", math.inf), ("-Infinity", -math.inf), ("-1", -1), ("0", 0),
+                ("401-digits", 10**400),
+            ]
+            if not (bad == 0 and field in ("dispatch", "collect"))  # a zero overhead is valid
+        ],
+    )
+    def test_a_bad_value_gets_the_message_of_the_spec(self, field, bad):
+        # The loader passes every value on unchecked, so the file and the library
+        # name one bad value in one way.
+        item, phase = {
+            "duration": ({"type": "sequential", "duration": bad}, SequentialPhase(bad)),
+            "chunk": ({"type": "parallel", "chunks": [1.0, bad]}, ParallelPhase((1.0, bad))),
+            "dispatch": ({"type": "parallel", "chunks": [1.0], "dispatch": bad},
+                         ParallelPhase((1.0,), bad)),
+            "collect": ({"type": "parallel", "chunks": [1.0], "collect": bad},
+                        ParallelPhase((1.0,), 0.0, bad)),
+        }[field]
+        text = json.dumps({"processors": 2, "phases": [{"type": "sequential", "duration": 1},
+                                                       item]})
+        with pytest.raises(InvalidWorkloadError) as from_file:
+            load_workload(io.StringIO(text))
+        with pytest.raises(InvalidWorkloadError) as from_spec:
+            WorkloadSpec(2, (SequentialPhase(1.0), phase))
+        assert str(from_file.value) == str(from_spec.value)
+        assert str(from_file.value).startswith(
+            {"duration": "phase 2: sequential duration must be finite and > 0, got ",
+             "chunk": "phase 2: chunk 2 must be finite and > 0, got ",
+             "dispatch": "phase 2: dispatch overhead must be finite and >= 0, got ",
+             "collect": "phase 2: collect overhead must be finite and >= 0, got "}[field]
+        )
+
+    @pytest.mark.parametrize(
+        ("doc", "message"),
+        [
+            ({"processors": 0, "phases": [{"type": "sequential", "duration": -1}]},
+             "processors must be >= 1, got 0"),
+            ({"processors": 0, "phases": [{"type": "sequential", "duration": 1},
+                                          {"type": "parallel", "chunks": ["x"]}]},
+             "processors must be >= 1, got 0"),
+            ({"processors": 2, "phases": [{"type": "sequential", "duration": -1},
+                                          {"type": "sequential", "duration": "x"}]},
+             "phase 1: sequential duration must be finite and > 0, got -1"),
+            ({"processors": 2, "phases": [{"type": "parallel", "chunks": [1, 0, "x"]}]},
+             "phase 1: chunk 2 must be finite and > 0, got 0"),
+            ({"processors": 2, "phases": [{"type": "parallel", "chunks": [1], "dispatch": -1,
+                                           "collect": "x"}]},
+             "phase 1: dispatch overhead must be finite and >= 0, got -1"),
+            ({"processors": 2, "phases": [{"type": "parallel", "chunks": []}]},
+             "phase 1: a parallel phase needs at least one chunk"),
+            # the shape of every phase is read before any value is checked
+            ({"processors": 0, "phases": [{"type": "sequential", "duration": -1},
+                                          {"type": "parallel", "chunks": 3}]},
+             "phase 2: 'chunks' must be a non-empty array"),
+        ],
+        ids=["processors-first", "processors-before-a-non-number", "phases-in-file-order",
+             "chunks-in-order", "dispatch-before-collect", "no-chunks", "shape-first"],
+    )
+    def test_bad_values_are_reported_in_order(self, doc, message):
         with pytest.raises(InvalidWorkloadError) as excinfo:
             load_workload(io.StringIO(json.dumps(doc)))
         assert str(excinfo.value) == message
