@@ -182,12 +182,32 @@ def write_records(
 
     With ``derived`` set, two extra columns (efficiency, one_minus_alpha_eff)
     are appended; the required eight stay first so the output still parses.
+
+    A record whose name is an exact ``str`` holding none of ``,`` ``"`` ``\\r``
+    ``\\n`` is formatted here, one write per row; any other record goes through
+    the csv writer, which alone decides quoting. The bytes are the same either
+    way: the writer quotes a field for exactly those four characters, and
+    writes a record's exact ints with ``str`` and its floats with ``repr``, as
+    the line below does. Rows are written in input order, each built just
+    before it is written, so a record whose derived pair raises leaves the rows
+    before it in the stream.
     """
     writer = _csv_writer(stream)
     if comment:
         stream.write(_comment_lines(comment))
     writer.writerow(_COLUMNS if derived else _HEADER)
-    writer.writerows(_record_row(r, derived) for r in records)
+    write = stream.write
+    for r in records:
+        name = r.name
+        if type(name) is not str or "," in name or '"' in name or "\r" in name or "\n" in name:
+            writer.writerow(_record_row(r, derived))
+            continue
+        line = (f"{r.year},{r.rank},{name},{r.arch.value},{r.cores},{r.rmax!r},{r.rpeak!r},"
+                f"{r.benchmark.value}")
+        if derived:
+            value, one_minus = _derived_pair(r)
+            line = f"{line},{value!r},{one_minus!r}"
+        write(line + "\n")
 
 
 def _record_row(r: MachineRecord, derived: bool) -> list:

@@ -42,6 +42,7 @@ from .core import (
     _require_count,
     _require_nonnegative,
     _require_positive,
+    _shown,
 )
 from .errors import InvalidTemplateError, InvalidWorkloadError, ModelError
 
@@ -86,7 +87,12 @@ def _checked_phase(phase: Phase, index: int) -> Phase:
         if isinstance(phase, SequentialPhase):
             return SequentialPhase(_require_positive(phase.duration, "sequential duration"))
         if isinstance(phase, ParallelPhase):
-            chunks = tuple(phase.chunks or ())  # read once: the chunks may be an iterator
+            chunks = phase.chunks
+            try:  # any iterable, a numpy array included, which has no single truth value
+                chunks = () if chunks is None else iter(chunks)
+            except TypeError:
+                raise ValueError(f"chunks must be an iterable of numbers, got {_shown(chunks)}")
+            chunks = tuple(chunks)  # read once: the chunks may be an iterator
             if not chunks:
                 raise ValueError("a parallel phase needs at least one chunk")
             try:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from amdahl.core import Efficiency, alpha_eff_from_efficiency, efficiency_from_alpha
+from amdahl.core import (
+    Efficiency,
+    _comment_lines,
+    _csv_writer,
+    alpha_eff_from_efficiency,
+    efficiency_from_alpha,
+)
 from amdahl.dataset import (
     Architecture,
     Benchmark,
@@ -26,7 +32,7 @@ from amdahl.dataset import (
     write_records,
     yearly_mean_efficiency,
 )
-from amdahl.dataset import _derived_pair, _parse_row
+from amdahl.dataset import _COLUMNS, _HEADER, _derived_pair, _parse_row, _record_row
 from amdahl.errors import (
     DegenerateCoresError,
     DegenerateDataError,
@@ -248,6 +254,65 @@ class TestParsing:
             read_records(str(tmp_path / "absent.csv"))
 
 
+def csv_write_records(records, stream, comment=None, derived=False):
+    """write_records as it was: every row through the csv writer; the reference."""
+    writer = _csv_writer(stream)
+    if comment:
+        stream.write(_comment_lines(comment))
+    writer.writerow(_COLUMNS if derived else _HEADER)
+    writer.writerows(_record_row(r, derived) for r in records)
+
+
+def write_outcome(write, records, comment=None, derived=False):
+    """The text a write leaves in its stream, and its error's type and message if it raised."""
+    buffer = io.StringIO()
+    try:
+        write(records, buffer, comment=comment, derived=derived)
+    except ValueError as exc:
+        return buffer.getvalue(), (type(exc), str(exc))
+    return buffer.getvalue(), None
+
+
+class Shouted(str):
+    """A str subclass that str() changes, so only the csv writer knows how it is written."""
+
+    def __str__(self):
+        return self.upper()
+
+
+# Names over all of Unicode, the four characters csv quotes, characters it does not
+# quote, and names that are no exact str.
+NAMES = st.one_of(
+    st.text(),
+    st.text(alphabet=',"\r\n\x00\x1c \u2028ab', max_size=6),
+    st.sampled_from((",", '"', "\r", "\n", "\x00", "\x1c", " ", "", "a,b", 'say "hi"', "c\r\nr")),
+    st.none(),
+    st.integers(),
+    st.text(max_size=4).map(Shouted),
+)
+EXTREME_FLOATS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from((5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308)),
+    st.integers(min_value=1, max_value=2**1000),
+    st.floats(min_value=5e-324, max_value=1e300).map(np.float64),
+)
+
+
+@st.composite
+def machine_records(draw):
+    a, b = draw(EXTREME_FLOATS), draw(EXTREME_FLOATS)
+    return MachineRecord(
+        draw(st.integers(min_value=1, max_value=9999)),
+        draw(st.integers(min_value=1, max_value=2**70)),
+        draw(NAMES),
+        draw(st.sampled_from(Architecture)),
+        draw(st.integers(min_value=1, max_value=2**70) | st.integers(min_value=1, max_value=4)),
+        min(a, b),
+        max(a, b),
+        draw(st.sampled_from(Benchmark)),
+    )
+
+
 class TestWriting:
     def test_round_trip_is_lossless(self):
         original = read_records(fixture_path("early_linpack_1992.csv"))
@@ -300,6 +365,58 @@ class TestWriting:
         assert header == len(comment.splitlines())
         assert all(line.startswith("# ") for line in lines[:header])
         assert parse_records(io.StringIO(buffer.getvalue())) == original
+
+    @given(st.lists(machine_records(), max_size=8), st.none() | st.text(), st.booleans())
+    @example([record(name="a,b"), record(name=None, rank=2), record(name="c", rank=3)], None, True)
+    @example([record(name="x\x00y"), record(name=Shouted("s"), rank=2)], "made\nby", False)
+    @example([record(), record(name='"q"', rank=2), record(cores=1, rank=3), record(rank=4)],
+             None, True)
+    def test_output_is_the_csv_writers_byte_for_byte(self, records, comment, derived):
+        written = write_outcome(write_records, records, comment, derived)
+        assert written == write_outcome(csv_write_records, records, comment, derived)
+        if written[1] is None and all(isinstance(r.name, str) for r in records):
+            # parse_records strips each name. The comment is left out: a comment line
+            # holding ',"' opens a quoted csv field that runs on into the header, a
+            # fault of the comment lines that the row path does not touch.
+            buffer = io.StringIO()
+            write_records(records, buffer, derived=derived)
+            stripped = [r._replace(name=r.name.strip()) for r in records]
+            assert parse_records(io.StringIO(buffer.getvalue())) == stripped
+
+    def test_rows_that_need_quoting_keep_their_place(self):
+        names = ["a", "b,c", "d", 'e "f"', "g", None, "h", "i\rj", "k\nl", "m", 7, "n"]
+        original = [record(name=name, rank=i) for i, name in enumerate(names, 1)]
+        for derived in (False, True):
+            buffer = io.StringIO()
+            write_records(original, buffer, derived=derived)
+            assert buffer.getvalue() == write_outcome(csv_write_records, original,
+                                                      derived=derived)[0]
+            again = parse_records(io.StringIO(buffer.getvalue()))
+            assert [r.rank for r in again] == list(range(1, len(names) + 1))
+            assert [r.name for r in again] == [
+                "" if name is None else str(name) for name in names
+            ]
+
+    @pytest.mark.parametrize(
+        ("bad", "error", "message"),
+        [
+            (record(name="one core", cores=1, rank=4), DegenerateCoresError,
+             "needs at least 2 processors to invert, got 1"),
+            (record(name="one, core", cores=1, rank=4), DegenerateCoresError,
+             "needs at least 2 processors to invert, got 1"),
+            (record(name="below", cores=4, rmax=0.2, rpeak=1.0, rank=4), InfeasibleTargetError,
+             "efficiency 0.2 is below 1/4, a slowdown the model cannot express"),
+        ],
+        ids=["plain-name", "quoted-name", "below-one-over-k"],
+    )
+    def test_a_derived_error_leaves_the_rows_before_it(self, bad, error, message):
+        original = [record(name="a"), record(name="b,c", rank=2), record(name="d", rank=3), bad,
+                    record(name="e", rank=5)]
+        written = write_outcome(write_records, original, comment="c", derived=True)
+        assert written == write_outcome(csv_write_records, original, comment="c", derived=True)
+        text, raised = written
+        assert raised == (error, message)
+        assert [r.name for r in parse_records(io.StringIO(text))] == ["a", "b,c", "d"]
 
 
 # rmax and rpeak as a record holds them: floats down to the smallest subnormal,

@@ -230,6 +230,15 @@ class TestWorkloadValidation:
             # The chunks are read once, so the bad one is named from what was read.
             (ParallelPhase(chunks=(c for c in (1.0, -2.0, math.nan))),
              "phase 1: chunk 2 must be finite and > 0, got -2.0"),
+            # A numpy array has no single truth value: it is read element by element.
+            (ParallelPhase(chunks=np.array([])),
+             "phase 1: a parallel phase needs at least one chunk"),
+            (ParallelPhase(chunks=5), "phase 1: chunks must be an iterable of numbers, got 5"),
+            (ParallelPhase(chunks=2.5),
+             "phase 1: chunks must be an iterable of numbers, got 2.5"),
+            (ParallelPhase(chunks=0), "phase 1: chunks must be an iterable of numbers, got 0"),
+            (ParallelPhase(chunks=10**400),
+             "phase 1: chunks must be an iterable of numbers, got a 1329-bit integer"),
         ],
     )
     def test_phase_messages(self, phase, message):
@@ -240,6 +249,16 @@ class TestWorkloadValidation:
     def test_chunks_are_read_once_from_an_iterator(self):
         spec = WorkloadSpec(2, (ParallelPhase(c for c in (1, 2.0)),))
         assert spec.phases == (ParallelPhase((1.0, 2.0)),)
+
+    @pytest.mark.parametrize("chunks", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.5]])
+    def test_numpy_arrays_of_chunks_are_read_element_by_element(self, chunks):
+        spec = WorkloadSpec(2, (ParallelPhase(np.array(chunks)),))
+        assert spec.phases == (ParallelPhase(tuple(chunks)),)
+        assert all(type(c) is float for c in spec.phases[0].chunks)
+        bad = np.array(chunks + [-2.0])
+        with pytest.raises(InvalidWorkloadError,
+                           match=rf"^phase 1: chunk {len(bad)} must be finite and > 0, got "):
+            WorkloadSpec(2, (ParallelPhase(bad),))
 
     def test_processors_beyond_an_index_are_rejected(self):
         # Only counts past sys.maxsize: smaller ones would really be allocated.
