@@ -116,7 +116,7 @@ def _ratio_list(text: str) -> list[float]:
 class _Output:
     """Shared rendering: scalar blocks and row tables in table or csv mode.
 
-    Only csv output loads ``csv``, and ``shlex`` for the command line it echoes.
+    Only csv output loads ``shlex``, for the command line it echoes.
     """
 
     def __init__(self, fmt: str, precision: int, argv: Sequence[str]) -> None:
@@ -180,13 +180,11 @@ class _Output:
             return
         import shlex
 
-        from .core import _comment_lines, _csv_writer
+        from .core import _comment_lines, _csv_line
 
         for text in ("amdahl " + shlex.join(self.argv), *comments):
             self.out.write(_comment_lines(text))
-        writer = _csv_writer(self.out)
-        writer.writerow(headers)
-        writer.writerows(text_rows)
+        self.out.writelines(map(_csv_line, (headers, *text_rows)))
 
 
 # Subcommand name -> (help line, arguments, handler), filled by @_command in the
@@ -353,7 +351,7 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
 
     records = read_records(args.input)
     champions = select_champions(records, args.select, top=args.top)
-    rows = [_record_row(r, derived=True) for r in champions]
+    rows = [_record_row(r) for r in champions]
     try:
         fit = fit_semilog([(row[0], row[-1]) for row in rows])
     except ValueError:  # fewer than two champions, or no fit through them

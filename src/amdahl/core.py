@@ -23,10 +23,11 @@ even where 1 - E is below the resolution of a double next to 1.0.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from enum import Enum
-from typing import IO
+from typing import Iterable
 
 from . import _HOMES
 from .errors import (
@@ -163,15 +164,23 @@ def _require_count(
 
 
 def _finite(x: object) -> float | None:
-    """x as a finite float, or None if it is not a real number inside the float range."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+    """x as a finite float, or None if it is not a real number inside the float range.
+
+    An integer type other than int, such as numpy's int64, is read through
+    ``__index__``, as _require_count reads a count; a bool is no number.
+    """
+    if isinstance(x, bool):
+        return None
+    if not isinstance(x, (int, float)):
         try:
-            value = float(x)
-        except OverflowError:  # an int too large for a float
+            x = operator.index(x)
+        except TypeError:  # no integer: a str, None, a numpy float32 or array
             return None
-        if math.isfinite(value):
-            return value
-    return None
+    try:
+        value = float(x)
+    except OverflowError:  # an int too large for a float
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _shown(x: object) -> str:
@@ -186,19 +195,24 @@ def _comment_lines(text: str) -> str:
     return "".join(f"# {line}\n" for line in text.splitlines())
 
 
-def _csv_writer(stream: IO[str]):
-    """A csv writer whose rows end in a line feed and quote every field holding a line break.
+def _csv_field(value: object) -> str:
+    """value as one csv field: None as "", a str as its own characters, anything else by str().
 
-    csv.writer quotes a field that holds a character of its line terminator, so a
-    line feed alone as the terminator would leave a bare carriage return unquoted,
-    where csv.reader ends the row. The writer therefore ends each row in CR LF, in
-    one write per row, and each row goes on to the stream ending in LF alone.
+    A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, each ``"`` doubled, so a
+    line break inside it, a bare carriage return included, cannot end the row.
     """
-    import csv
-    from types import SimpleNamespace
+    if isinstance(value, str):
+        text = str.__str__(value)  # an exact str, which str() of a subclass need not give
+    else:
+        text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    rows = SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
-    return csv.writer(rows, lineterminator="\r\n")
+
+def _csv_line(fields: Iterable[object]) -> str:
+    """fields as one csv row, ending in a line feed."""
+    return ",".join(map(_csv_field, fields)) + "\n"
 
 
 # The guards take any object and return the float they compared; a float skips

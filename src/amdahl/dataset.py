@@ -5,8 +5,8 @@ list rank, core count, and measured versus peak throughput for a named
 benchmark. The canonical performance unit in files is Gflop/s.
 
 File format: CSV with header ``year,rank,name,arch,cores,rmax_gflops,
-rpeak_gflops,benchmark``. Lines starting with ``#`` are treated as comments
-wherever they appear, which lets output produced by the CLI round-trip through
+rpeak_gflops,benchmark``. A line that starts a row with ``#`` is a comment
+up to its line end, which lets output produced by the CLI round-trip through
 this parser. Extra columns after the required eight are ignored, for the same
 reason.
 
@@ -22,14 +22,15 @@ import statistics
 from collections import namedtuple
 from enum import Enum
 from importlib import resources
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _HOMES
 from .core import (
     Efficiency,
     _Checked,
     _comment_lines,
-    _csv_writer,
+    _csv_field,
+    _csv_line,
     _finite,
     _from_inverse_excess,
     _measured_efficiency,
@@ -114,11 +115,21 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
             has the wrong shape or violates an invariant;
             carries the 1-based line number of the offending row.
     """
-    reader = csv.reader(stream)
+    def lines() -> Iterator[str]:
+        # A "#" line that starts a row goes to csv as a blank line: a quote in it opens
+        # no field, and reader.line_num still counts it.
+        for line in stream:
+            if "#" in line and reader.line_num == row_end and line.lstrip().startswith("#"):
+                line = "\n"
+            yield line
+
+    row_end = 0  # reader.line_num when the last row ended
+    reader = csv.reader(lines())
     header: list[str] | None = None
     records: list[MachineRecord] = []
     try:
         for row in reader:
+            row_end = reader.line_num
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
@@ -129,7 +140,7 @@ def parse_records(stream: Iterable[str]) -> list[MachineRecord]:
                         f"'{','.join(_HEADER)}', got '{','.join(header)}'"
                     )
                 continue
-            records.append(_parse_row(row, reader.line_num))
+            records.append(_parse_row(row, row_end))
     except csv.Error as exc:  # a field past csv's size limit, for one
         raise MalformedRowError(reader.line_num, str(exc)) from exc
     if header is None:
@@ -183,39 +194,29 @@ def write_records(
     With ``derived`` set, two extra columns (efficiency, one_minus_alpha_eff)
     are appended; the required eight stay first so the output still parses.
 
-    A record whose name is an exact ``str`` holding none of ``,`` ``"`` ``\\r``
-    ``\\n`` is formatted here, one write per row; any other record goes through
-    the csv writer, which alone decides quoting. The bytes are the same either
-    way: the writer quotes a field for exactly those four characters, and
-    writes a record's exact ints with ``str`` and its floats with ``repr``, as
-    the line below does. Rows are written in input order, each built just
-    before it is written, so a record whose derived pair raises leaves the rows
-    before it in the stream.
+    Each record is one formatted line and one write: its ints by ``str``, its
+    floats by ``repr``, its name through ``core._csv_field``, which quotes a
+    name holding ``,``, ``"``, ``\\r`` or ``\\n``. Rows are written in input
+    order, each built just before it is written, so a record whose derived
+    pair raises leaves the rows before it in the stream.
     """
-    writer = _csv_writer(stream)
     if comment:
         stream.write(_comment_lines(comment))
-    writer.writerow(_COLUMNS if derived else _HEADER)
+    stream.write(_csv_line(_COLUMNS if derived else _HEADER))
     write = stream.write
     for r in records:
-        name = r.name
-        if type(name) is not str or "," in name or '"' in name or "\r" in name or "\n" in name:
-            writer.writerow(_record_row(r, derived))
-            continue
-        line = (f"{r.year},{r.rank},{name},{r.arch.value},{r.cores},{r.rmax!r},{r.rpeak!r},"
-                f"{r.benchmark.value}")
+        line = (f"{r.year},{r.rank},{_csv_field(r.name)},{r.arch.value},{r.cores},{r.rmax!r},"
+                f"{r.rpeak!r},{r.benchmark.value}")
         if derived:
             value, one_minus = _derived_pair(r)
             line = f"{line},{value!r},{one_minus!r}"
         write(line + "\n")
 
 
-def _record_row(r: MachineRecord, derived: bool) -> list:
-    """A record's fields in file column order, then its derived pair when asked."""
-    row = [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value]
-    if derived:
-        row += _derived_pair(r)
-    return row
+def _record_row(r: MachineRecord) -> list:
+    """A record's fields in file column order, then its derived pair."""
+    return [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value,
+            *_derived_pair(r)]
 
 
 def derive(record: MachineRecord) -> DerivedMetrics:
@@ -291,8 +292,8 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     """Ordinary least squares of log10(y) on x, for trend lines on semilog plots.
 
     Raises:
-        NonPositiveValueError: some y is not a finite int or float > 0.
-        ModelError: some x is not a finite int or float, or exceeds 1e150 in magnitude,
+        NonPositiveValueError: some y is not a finite number > 0.
+        ModelError: some x is not a finite number, or exceeds 1e150 in magnitude,
             or the x values lie so close that the slope overflows the float range.
         DegenerateDataError: all x are identical, no slope exists.
         ValueError: fewer than two points.

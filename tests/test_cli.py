@@ -14,6 +14,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from amdahl.dataset import (
     fixture_path,
     parse_records,
     read_records,
+    select_champions,
     write_records,
 )
 
@@ -902,6 +904,19 @@ class TestCsvComments:
         assert "# base: name=Sun" in preamble
         assert "# way cores=10649600 rpeak_gflops=125435904.0" in preamble
         assert all(line.startswith("# ") for line in preamble[:-1])
+
+    def test_comment_holding_a_quote_after_a_comma_reads_back(self, capsys, tmp_path):
+        # The echoed path holds ',"', which opened a quoted csv field that ran on into
+        # the header before a "#" line was a comment to its line end.
+        path = tmp_path / 'a,"b.csv'
+        shutil.copyfile(HPL, path)
+        code, out, err = cli(
+            capsys, "--format", "csv", "timeline", "--input", str(path), "--select", "best-rmax"
+        )
+        assert (code, err) == (0, "")
+        assert parse_records(io.StringIO(out)) == select_champions(
+            read_records(str(path)), "best-rmax"
+        )
 
 
 class TestHarness:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 from amdahl.core import (
     Efficiency,
     _comment_lines,
-    _csv_writer,
+    _csv_field,
+    _csv_line,
     alpha_eff_from_efficiency,
     efficiency_from_alpha,
 )
@@ -32,7 +36,7 @@ from amdahl.dataset import (
     write_records,
     yearly_mean_efficiency,
 )
-from amdahl.dataset import _COLUMNS, _HEADER, _derived_pair, _parse_row, _record_row
+from amdahl.dataset import _COLUMNS, _HEADER, _derived_pair, _parse_row
 from amdahl.errors import (
     DegenerateCoresError,
     DegenerateDataError,
@@ -171,6 +175,35 @@ class TestParsing:
         assert records[0].name == "Intel Delta"
         assert records[0].rmax == 13.9
 
+    def test_a_comment_ends_at_its_line_end(self):
+        # A quote after a comma in a "#" line opens no csv field, and a "#" line inside
+        # a quoted name is part of the name.
+        text = (
+            '# a,"b\n'
+            f"{HEADER}\n"
+            '  # c,"d\n'
+            '2017,1,"x\n# not a comment",MPP,4,1,2,HPL\n'
+            '# e,"f\n'
+            "2017,2,y,MPP,4,1,2,HPL\n"
+        )
+        records = parse_records(io.StringIO(text))
+        assert [(r.rank, r.name) for r in records] == [(1, "x\n# not a comment"), (2, "y")]
+
+    @pytest.mark.parametrize(
+        ("row", "fragment"),
+        [
+            ("2017,1,X,MPP,4,1,2", "at least 8 fields"),
+            (f"2017,1,{'x' * 131073},MPP,4,1,2,HPL", "field larger than field limit (131072)"),
+        ],
+        ids=["malformed-row", "field-past-the-csv-size-limit"],
+    )
+    def test_line_numbers_count_comment_lines(self, row, fragment):
+        text = f'# a,"b\n{HEADER}\n# c\n2017,1,"x\ny",MPP,4,1,2,HPL\n# d,"e\n{row}\n'
+        with pytest.raises(MalformedRowError) as excinfo:
+            parse_records(io.StringIO(text))
+        assert excinfo.value.line_num == 7
+        assert fragment in str(excinfo.value)
+
     def test_header_case_and_spacing_tolerated(self):
         text = "Year, Rank, Name, Arch, Cores, RMAX_GFLOPS, Rpeak_Gflops, Benchmark\n"
         assert parse_records(io.StringIO(text)) == []
@@ -254,13 +287,27 @@ class TestParsing:
             read_records(str(tmp_path / "absent.csv"))
 
 
+def csv_writer(stream):
+    """A csv writer whose rows end in a line feed and quote every field holding a line break.
+
+    csv.writer quotes a field that holds a character of its line terminator, so a
+    line feed alone as the terminator would leave a bare carriage return unquoted.
+    The writer therefore ends each row in CR LF, and each row goes on to the
+    stream ending in LF alone.
+    """
+    rows = SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
+    return csv.writer(rows, lineterminator="\r\n")
+
+
 def csv_write_records(records, stream, comment=None, derived=False):
-    """write_records as it was: every row through the csv writer; the reference."""
-    writer = _csv_writer(stream)
+    """write_records with every row through the csv writer; the reference."""
+    writer = csv_writer(stream)
     if comment:
         stream.write(_comment_lines(comment))
     writer.writerow(_COLUMNS if derived else _HEADER)
-    writer.writerows(_record_row(r, derived) for r in records)
+    for r in records:
+        row = [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value]
+        writer.writerow(row + list(_derived_pair(r)) if derived else row)
 
 
 def write_outcome(write, records, comment=None, derived=False):
@@ -274,7 +321,7 @@ def write_outcome(write, records, comment=None, derived=False):
 
 
 class Shouted(str):
-    """A str subclass that str() changes, so only the csv writer knows how it is written."""
+    """A str subclass that str() changes; a csv field holds its own characters."""
 
     def __str__(self):
         return self.upper()
@@ -311,6 +358,34 @@ def machine_records(draw):
         max(a, b),
         draw(st.sampled_from(Benchmark)),
     )
+
+
+def csv_row(fields) -> str:
+    """One row as the csv writer writes it."""
+    buffer = io.StringIO()
+    csv_writer(buffer).writerow(fields)
+    return buffer.getvalue()
+
+
+class TestCsvField:
+    """core._csv_field quotes a field as the csv writer does, and _csv_line joins a row."""
+
+    @pytest.mark.parametrize(
+        "place", ["{}", "{}a", "a{}b", "a{}"], ids=["alone", "start", "middle", "end"]
+    )
+    def test_every_code_point(self, place):
+        for start in range(0, sys.maxunicode + 1, 4096):
+            stop = min(start + 4096, sys.maxunicode + 1)
+            fields = [place.format(chr(c)) for c in range(start, stop)]
+            assert _csv_line(fields) == csv_row(fields), hex(start)
+
+    def test_values_that_are_no_str(self):
+        # A row of one empty field is the one the writer writes as "", and no table
+        # of the package has a single column: None goes with other fields.
+        fields = [None, 0, -7, 2**100, 0.1, 5e-324, -0.0, math.inf, Shouted("a,b"), Shouted("s"),
+                  "", None]
+        assert _csv_line(fields) == csv_row(fields)
+        assert type(_csv_field(Shouted("s"))) is str and _csv_field(Shouted("s")) == "s"
 
 
 class TestWriting:
@@ -369,19 +444,15 @@ class TestWriting:
     @given(st.lists(machine_records(), max_size=8), st.none() | st.text(), st.booleans())
     @example([record(name="a,b"), record(name=None, rank=2), record(name="c", rank=3)], None, True)
     @example([record(name="x\x00y"), record(name=Shouted("s"), rank=2)], "made\nby", False)
+    @example([record(name='a,"b')], 'c,"d', True)
     @example([record(), record(name='"q"', rank=2), record(cores=1, rank=3), record(rank=4)],
              None, True)
     def test_output_is_the_csv_writers_byte_for_byte(self, records, comment, derived):
         written = write_outcome(write_records, records, comment, derived)
         assert written == write_outcome(csv_write_records, records, comment, derived)
         if written[1] is None and all(isinstance(r.name, str) for r in records):
-            # parse_records strips each name. The comment is left out: a comment line
-            # holding ',"' opens a quoted csv field that runs on into the header, a
-            # fault of the comment lines that the row path does not touch.
-            buffer = io.StringIO()
-            write_records(records, buffer, derived=derived)
-            stripped = [r._replace(name=r.name.strip()) for r in records]
-            assert parse_records(io.StringIO(buffer.getvalue())) == stripped
+            stripped = [r._replace(name=r.name.strip()) for r in records]  # as parse_records does
+            assert parse_records(io.StringIO(written[0])) == stripped
 
     def test_rows_that_need_quoting_keep_their_place(self):
         names = ["a", "b,c", "d", 'e "f"', "g", None, "h", "i\rj", "k\nl", "m", 7, "n"]

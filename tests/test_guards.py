@@ -184,6 +184,23 @@ def test_guards_return_the_number_they_checked():
     assert type(count) is int and count == 7
 
 
+def test_float_guards_read_integer_types_as_the_count_guard_does():
+    # Each raised "must be finite", naming the numpy int, while counts took them.
+    record = MachineRecord(
+        2017, 1, "x", Architecture.MPP, np.int64(4), np.int64(1), np.int64(2), Benchmark.HPL
+    )
+    assert (record.cores, record.rmax, record.rpeak) == (4, 1.0, 2.0)
+    assert [type(v) for v in record[4:7]] == [int, float, float]
+    [phase] = WorkloadSpec(2, [ParallelPhase(np.array([1, 2]))]).phases
+    assert phase.chunks == (1.0, 2.0) and {type(c) for c in phase.chunks} == {float}
+    fit = fit_semilog([(np.int64(2016), 1e-5), (np.int64(2017), 1e-6)])
+    assert type(fit.slope) is float and fit.slope == pytest.approx(-1.0)
+    # A float32 is no integer type: admitting it needs a __float__ rule, which would
+    # let in Decimal, Fraction and one-element arrays as well.
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0, got np.float32\(0.5\)$"):
+        _require_positive(np.float32(0.5), "x")
+
+
 def test_an_int_beyond_the_float_range_is_named_by_its_bit_length():
     with pytest.raises(ValueError, match=r"^x must be finite and > 0, got a 16610-bit integer$"):
         _require_positive(10**5000, "x")

@@ -176,11 +176,12 @@ class TestSubcommandImports:
         assert not {"dataclasses", "inspect"} & set(loaded)
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])
-    def test_only_csv_output_loads_csv_and_shlex(self, fmt):
+    def test_only_csv_output_loads_shlex_and_writing_loads_no_csv(self, fmt):
+        # csv is loaded only to read records; output is quoted by core._csv_field.
         code, *loaded = fresh_modules(RUN_CLI, "--format", fmt, "alpha", "--efficiency", "0.5",
                                       "--cores", "8")
         assert code == "0"
-        assert {"csv", "shlex"} & set(loaded) == ({"csv", "shlex"} if fmt == "csv" else set())
+        assert {"csv", "shlex"} & set(loaded) == ({"shlex"} if fmt == "csv" else set())
 
     def test_select_choices_are_the_champion_criteria(self):
         assert cli._CHAMPION_CRITERIA == tuple(c.value for c in ChampionCriterion)
