@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from enum import Enum
 from typing import Callable, Sequence
 
 __all__ = ["run", "main"]
@@ -66,51 +67,36 @@ def _performance(text: str) -> float:
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _flag_type(parse: Callable, expected: str, accepts: Callable, rule: str) -> Callable:
+    """An argparse type: the value ``parse`` reads from the text, if ``accepts`` takes it.
+
+    A text that does not parse is "expected <expected>"; a value ``accepts`` refuses is
+    ``rule``, with the value in its ``{}``.
+    """
+
+    def convert(text: str) -> object:
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(rule.format(value))
+        return value
+
+    return convert
 
 
-def _grid_points(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("a projection grid needs at least 2 points")
-    return value
-
-
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"precision must be in [1, 17], got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {value}")
-    return value
-
-
-def _ratio_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one ratio")
-    return values
+_positive_int = _flag_type(int, "an integer", lambda n: n >= 1,
+                           "expected a positive integer, got {}")
+_grid_points = _flag_type(int, "an integer", lambda n: n >= 2,
+                          "a projection grid needs at least 2 points")
+_precision = _flag_type(int, "an integer", lambda n: 1 <= n <= 17,
+                        "precision must be in [1, 17], got {}")
+# nan is not below 0: it passes on to the library's guard, as inf does.
+_nonnegative_float = _flag_type(float, "a number", lambda x: not x < 0.0,
+                                "expected a nonnegative number, got {}")
+_ratio_list = _flag_type(lambda text: [float(t) for t in text.split(",") if t.strip() != ""],
+                         "comma-separated numbers", bool, "expected at least one ratio")
 
 
 class _Output:
@@ -139,11 +125,12 @@ class _Output:
         return text.replace("\r", "\\r").replace("\n", "\\n")
 
     def cell(self, value: object) -> str:
+        """value as one table cell or csv field; an Enum member is shown by its value."""
         if value is None:
             return "n/a" if self.is_table else ""
         if isinstance(value, float):
             return self.number(value)
-        return str(value)
+        return str(value.value if isinstance(value, Enum) else value)
 
     def rate(self, value: float | None, unit: str = "Gflop/s") -> object:
         """A rate in Gflop/s or flop/s; tables add it in the largest fitting prefix."""
@@ -288,7 +275,7 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
         ceiling = "unbounded"
     output.scalars(
         [
-            ("method", estimate.method.value),
+            ("method", estimate.method),
             ("cores", estimate.cores),
             ("one_minus_alpha", estimate.one_minus_alpha),
             ("alpha", estimate.alpha),
@@ -303,7 +290,7 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
     _arg("--workload", required=True, help="workload file (JSON)"),
 )
 def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
-    from .workload import load_workload, simulate
+    from .workload import TimelineSegment, load_workload, simulate
 
     with open(args.workload, encoding="utf-8") as fh:
         spec = load_workload(fh)
@@ -325,18 +312,17 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
         [p, busy, idle]
         for p, (busy, idle) in enumerate(zip(result.per_processor_busy, result.per_processor_idle))
     ]
-    timeline_rows = [[seg.processor, seg.start, seg.end, seg.label] for seg in result.timeline]
 
     if output.is_table:
         output.scalars(pairs)
         output.out.write("\n")
         output.table(("processor", "busy", "idle"), busy_rows)
         output.out.write("\n")
-        output.table(("processor", "start", "end", "label"), timeline_rows)
+        output.table(TimelineSegment._fields, result.timeline)
     else:
         comments = [f"{key} = {output.cell(value) or 'n/a'}" for key, value in pairs]
         comments += [f"processor {p}: busy={repr(b)} idle={repr(i)}" for p, b, i in busy_rows]
-        output.table(("processor", "start", "end", "label"), timeline_rows, comments=comments)
+        output.table(TimelineSegment._fields, result.timeline, comments=comments)
 
 
 @_command(
@@ -347,11 +333,11 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
     _arg("--top", type=_positive_int, help="only consider each year's N best-ranked records"),
 )
 def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
-    from .dataset import _COLUMNS, _record_row, fit_semilog, read_records, select_champions
+    from .dataset import _COLUMNS, _derived_pair, fit_semilog, read_records, select_champions
 
     records = read_records(args.input)
     champions = select_champions(records, args.select, top=args.top)
-    rows = [_record_row(r) for r in champions]
+    rows = [(*r, *_derived_pair(r)) for r in champions]
     try:
         fit = fit_semilog([(row[0], row[-1]) for row in rows])
     except ValueError:  # fewer than two champions, or no fit through them
@@ -379,14 +365,10 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
     _arg("--top", required=True, type=_positive_int, help="cohort size per year"),
 )
 def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
-    from .dataset import read_records, yearly_mean_efficiency
+    from .dataset import YearlyEfficiency, read_records, yearly_mean_efficiency
 
     records = read_records(args.input)
-    rows = [
-        [row.year, row.mean_efficiency, row.sd_efficiency]
-        for row in yearly_mean_efficiency(records, args.top)
-    ]
-    output.table(("year", "mean_efficiency", "sd_efficiency"), rows)
+    output.table(YearlyEfficiency._fields, yearly_mean_efficiency(records, args.top))
 
 
 @_command(
@@ -437,10 +419,9 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
         base_note = f"base: cores={base_cores} rpeak_gflops={base_rpeak!r}"
 
     grid = geometric_grid(args.rpeak_from, args.rpeak_to, args.points)
-    curve = project_curve(base_cores, base_rpeak, one_minus_alpha, grid)
-    rows = [[pt.rpeak, pt.cores, pt.efficiency, pt.rmax] for pt in curve]
+    rows = project_curve(base_cores, base_rpeak, one_minus_alpha, grid)
     if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
-        rows = [[rp, float(k) if k > 2**53 else k, e, rmax] for rp, k, e, rmax in rows]
+        rows = [(rp, float(k) if k > 2**53 else k, e, rmax) for rp, k, e, rmax in rows]
         output.out.write(
             output.one_line(f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}") + "\n"
         )
@@ -591,12 +572,10 @@ def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
         template = load_workload(fh)
     processors = args.processors if args.processors is not None else template.processors
     grid = sweep_alpha_eff(processors, template, args.overhead, args.sequential)
-    rows = []
-    for point in grid:
-        alpha = None if point.one_minus_alpha_eff is None else 1.0 - point.one_minus_alpha_eff
-        rows.append(
-            [point.overhead_ratio, point.sequential_ratio, alpha, point.one_minus_alpha_eff]
-        )
+    rows = [
+        (overhead, sequential, None if one_minus is None else 1.0 - one_minus, one_minus)
+        for overhead, sequential, one_minus in grid
+    ]
     output.table(
         ("overhead_ratio", "sequential_ratio", "alpha_eff", "one_minus_alpha_eff"),
         rows,

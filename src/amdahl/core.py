@@ -152,8 +152,9 @@ def _require_count(
     bounds is named by the bound it breaks, so inf is too many rather than no integer.
     """
     if type(value) is not int:
-        if hasattr(value, "__index__") and not isinstance(value, bool):
-            value = value.__index__()  # numpy's integers, for one
+        integer = _integer(value)
+        if integer is not None:
+            value = integer
         elif not (isinstance(value, float) and (value < minimum or value > maximum)):
             raise error(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum:
@@ -163,18 +164,27 @@ def _require_count(
     return value
 
 
-def _finite(x: object) -> float | None:
-    """x as a finite float, or None if it is not a real number inside the float range.
+def _integer(x: object) -> int | None:
+    """x as an int, read through ``__index__`` as numpy's integers are, or None if it is no integer.
 
-    An integer type other than int, such as numpy's int64, is read through
-    ``__index__``, as _require_count reads a count; a bool is no number.
+    A bool is no integer, and neither is a float.
     """
     if isinstance(x, bool):
         return None
-    if not isinstance(x, (int, float)):
-        try:
-            x = operator.index(x)
-        except TypeError:  # no integer: a str, None, a numpy float32 or array
+    try:
+        return operator.index(x)
+    except TypeError:  # a float, a str, None, or a numpy array of more than one value
+        return None
+
+
+def _finite(x: object) -> float | None:
+    """x as a finite float, or None if it is not a real number inside the float range.
+
+    A number that is no float is read by _integer, as _require_count reads a count.
+    """
+    if not isinstance(x, float):
+        x = _integer(x)
+        if x is None:
             return None
     try:
         value = float(x)

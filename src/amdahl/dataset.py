@@ -213,12 +213,6 @@ def write_records(
         write(line + "\n")
 
 
-def _record_row(r: MachineRecord) -> list:
-    """A record's fields in file column order, then its derived pair."""
-    return [r.year, r.rank, r.name, r.arch.value, r.cores, r.rmax, r.rpeak, r.benchmark.value,
-            *_derived_pair(r)]
-
-
 def derive(record: MachineRecord) -> DerivedMetrics:
     """Efficiency rmax/rpeak and the serial fraction it implies at the record's core count."""
     value, one_minus = _derived_pair(record)

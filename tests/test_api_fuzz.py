@@ -2,11 +2,11 @@
 
 Each example calls one entry of ``amdahl.__all__`` with every numeric argument
 drawn from ints of any size, subnormal, huge, infinite and nan floats, numpy
-ints and floats, bools, None and strings; the other arguments are valid (an
-enum member, a stream, a list of records). The call must return plain ints and
-finite plain floats, no numpy scalar, or raise a ``ValueError`` subclass. Any
-warning is an error, so a numpy ``RuntimeWarning`` fails the call, as does an
-``OverflowError``, ``ZeroDivisionError`` or ``TypeError``.
+ints, floats and int arrays, bools, None and strings; the other arguments are
+valid (an enum member, a stream, a list of records). The call must return plain
+ints and finite plain floats, no numpy scalar, or raise a ``ValueError``
+subclass. Any warning is an error, so a numpy ``RuntimeWarning`` fails the
+call, as does an ``OverflowError``, ``ZeroDivisionError`` or ``TypeError``.
 
 Two more entries build inputs that pass the checks, a sweep template with one
 parallel phase and a budget below the run's cycles, so that most of their calls
@@ -96,6 +96,9 @@ numbers = st.one_of(
         st.integers(min_value=10**6 + 1, max_value=2**63 - 1),
     ).map(np.int64),
     floats.map(np.float64),
+    # Integer arrays: a 0-d one reads as an int, one of several elements is no number.
+    st.integers(min_value=-3, max_value=64).map(np.array),
+    st.lists(st.integers(min_value=-3, max_value=64), min_size=2, max_size=3).map(np.array),
     st.booleans(),
     st.none(),
     st.text(max_size=4),

@@ -25,6 +25,7 @@ import amdahl
 from amdahl.cli import main, run
 from amdahl.core import alpha_eff_from_efficiency
 from amdahl.dataset import (
+    _HEADER,
     Architecture,
     Benchmark,
     MachineRecord,
@@ -325,6 +326,10 @@ class TestTimeline:
         assert records[0].name == "Sunway TaihuLight"
         header = next(ln for ln in out.splitlines() if ln.startswith("year,"))
         assert header.endswith("efficiency,one_minus_alpha_eff")
+
+    def test_file_columns_follow_the_record_fields(self):
+        # A timeline row is the record itself, then its derived pair, under this header.
+        assert tuple(h.removesuffix("_gflops") for h in _HEADER) == MachineRecord._fields
 
     def test_csv_quotes_a_name_with_a_bare_carriage_return(self, capsys, tmp_path):
         # The name was written unquoted, and the output did not parse back.
@@ -996,14 +1001,34 @@ class TestHarness:
             (("project", "--one-minus-alpha", "0.1", "--cores", "4",
               "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2"),
              "explicit mode needs all of --one-minus-alpha --cores --rpeak"),
+            (("project", "--one-minus-alpha", "0.1", "--cores", "4", "--rpeak", "1",
+              "--rpeak-from", "1", "--rpeak-to", "2", "--points", "0"),
+             "argument --points: a projection grid needs at least 2 points"),
         ],
         ids=["cores-not-int", "cores-zero", "precision-not-int", "alpha-scale-not-number",
-             "empty-ratio-list", "bad-performance", "explicit-without-rpeak"],
+             "empty-ratio-list", "bad-performance", "explicit-without-rpeak", "points-zero"],
     )
     def test_argument_errors_exit_1(self, capsys, argv, message):
         code, out, err = cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("whatif", "--efficiency", "0.5", "--cores", "2", "--new-cores", "4",
+              "--rpeak", "100", "--alpha-scale", "nan"),
+             "alpha_scale_factor must be finite and >= 0, got nan"),
+            (("bounds", "--clock-hz", "1e9", "--runtime-s", "10", "--hw-cycles", "nan"),
+             "hardware_cycles must be finite and >= 0, got nan"),
+            (("sweep", "--workload", REALISTIC, "--overhead", "nan", "--sequential", "0"),
+             "sweep ratios must be finite and >= 0, got nan"),
+        ],
+        ids=["alpha-scale", "hw-cycles", "overhead"],
+    )
+    def test_nan_passes_the_flag_check_and_exits_2(self, capsys, argv, message):
+        # nan is not below 0, so only the library's guard can refuse it.
+        assert cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_bad_precision_is_usage_error(self, capsys):
         assert cli(capsys, "--precision", "0", "alpha", "--efficiency", "0.9",

@@ -342,7 +342,9 @@ class TestKernels:
 
     @given(wide_counts, st.data())
     def test_from_speedup(self, cores, data):
-        s = data.draw(st.floats(min_value=1.0, max_value=float(cores)))
+        # float(cores) rounds above a count past 2**53 about half the time: s stays <= cores.
+        top = float(cores) if float(cores) <= cores else math.nextafter(float(cores), 0.0)
+        s = data.draw(st.floats(min_value=1.0, max_value=top))
         assert same_bits(_from_speedup(s, cores), alpha_eff_from_speedup(s, cores).one_minus_alpha)
 
     @given(wide_counts, st.data())
