@@ -12,9 +12,15 @@ Chunks may outnumber processors; the greedy placement (Graham's list
 scheduling) then packs them into multiple rounds. One routine, ``_place``,
 does that placement for every parallel phase: a heap of (free time, index)
 pairs over min(k, n) processors finds each of n chunks its processor, so a
-phase costs O(n log min(k, n)). Waiting time is never an input: it emerges
-wherever a processor has nothing to do. A run keeps one busy and one idle
-time per processor, so ``simulate`` takes at most ``_MAX_PROCESSORS``.
+phase costs O(n log min(k, n)) placement plus one timeline segment per chunk.
+Waiting time is never an input: it emerges wherever a processor has nothing
+to do. A run keeps one busy and one idle time per processor, so ``simulate``
+takes at most ``_MAX_PROCESSORS``.
+
+Busy and serial time are summed in input order, one addition at a time: each
+processor's busy time adds its durations, overheads and chunks as they run,
+and the serial time is the sequential durations' total plus the chunk work's
+total. So a run is bit-reproducible.
 
 The serial baseline used for speedup is the same work run on one processor
 with no dispatch or collect overheads (those exist only because of the
@@ -142,7 +148,8 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
 
     Raises:
         ModelError: more than ``_MAX_PROCESSORS`` (10**6) processors.
-        InvalidWorkloadError: the run's times overflow the float range.
+        InvalidWorkloadError: the run's times overflow the float range, or
+            its speedup, serial over parallel time, underflows to 0.
     """
     k = workload.processors
     if k > _MAX_PROCESSORS:
@@ -168,8 +175,10 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
         if phase.dispatch_overhead > 0.0:
             step(phase.dispatch_overhead, f"dispatch{index}")
         placed, clock = _place(phase.chunks, k, clock)
-        for j, (chunk, (p, start, end)) in enumerate(zip(phase.chunks, placed), 1):
-            timeline.append(TimelineSegment(p, start, end, f"chunk{index}.{j}"))
+        prefix = f"chunk{index}."
+        timeline += [tuple.__new__(TimelineSegment, (p, start, end, f"{prefix}{j}"))
+                     for j, (p, start, end) in enumerate(placed, 1)]
+        for (p, _, _), chunk in zip(placed, phase.chunks):
             busy[p] += chunk
             serial_chunks += chunk
         if phase.collect_overhead > 0.0:
@@ -181,7 +190,7 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
     speedup = Speedup(serial_time / parallel_time)
     one_minus = _simulated_fraction(speedup.value, k)
 
-    idle = tuple(max(0.0, parallel_time - b) for b in busy)
+    idle = tuple([max(0.0, parallel_time - b) for b in busy])
     return ScheduleResult(
         serial_time=serial_time,
         parallel_time=parallel_time,
@@ -222,6 +231,9 @@ def _require_finite_times(serial_time: float, parallel_time: float) -> None:
             f"workload overflows the time range: serial time {serial_time!r}, "
             f"parallel time {parallel_time!r}"
         )
+    if serial_time / parallel_time == 0.0:
+        raise InvalidWorkloadError(f"workload speedup underflows to 0: serial time "
+                                   f"{serial_time!r}, parallel time {parallel_time!r}")
 
 
 def _simulated_fraction(speedup: float, k: int) -> float | None:

@@ -269,6 +269,16 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: workload overflows the time range")
 
+    def test_speedup_that_underflows_exits_2(self, capsys, tmp_path):
+        doc = {"processors": 2, "phases": [{"type": "parallel", "dispatch": 1e300,
+                                            "chunks": [5e-324]}]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(capsys, "simulate", "--workload", str(path))
+        assert (code, out, err) == (2, "", (
+            "error: workload speedup underflows to 0: serial time 5e-324, parallel time 1e+300\n"
+        ))
+
     def test_integer_beyond_the_float_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(

@@ -162,6 +162,14 @@ class TestSimulatorEdges:
         with pytest.raises(InvalidWorkloadError, match="serial time inf"):
             simulate(WorkloadSpec(2, (ParallelPhase((1e308, 1e308)),)))
 
+    def test_speedup_that_underflows_is_rejected(self):
+        # 5e-324 / 1e300 rounds to 0, which no speedup can be.
+        with pytest.raises(
+            InvalidWorkloadError,
+            match=r"^workload speedup underflows to 0: serial time 5e-324, parallel time 1e\+300$",
+        ):
+            simulate(WorkloadSpec(2, [ParallelPhase((5e-324,), 1e300)]))
+
     def test_ties_go_to_lowest_index(self):
         result = simulate(WorkloadSpec(processors=3, phases=(ParallelPhase(chunks=(1.0, 1.0)),)))
         chunk_segments = [s for s in result.timeline if s.label.startswith("chunk")]
@@ -386,31 +394,44 @@ class TestSimulatorProperties:
         assert result.alpha_eff.alpha == 0.75
 
 
-def linear_scan_timeline(spec: WorkloadSpec) -> list[TimelineSegment]:
-    """The greedy schedule placed by scanning every processor for each chunk."""
+def linear_scan_schedule(spec: WorkloadSpec):
+    """The greedy schedule placed by scanning every processor for each chunk.
+
+    Returns the timeline, each processor's busy time and the serial time. Both
+    times add their floats one at a time in input order, as simulate does, and
+    not with sum(), which compensates from Python 3.12 on.
+    """
     k = spec.processors
     clock = 0.0
     segments = []
+    busy = [0.0] * k
+    serial_seq = serial_chunks = 0.0
     for index, phase in enumerate(spec.phases, 1):
         if isinstance(phase, SequentialPhase):
             segments.append(TimelineSegment(0, clock, clock + phase.duration, f"seq{index}"))
             clock += phase.duration
+            busy[0] += phase.duration
+            serial_seq += phase.duration
             continue
         if phase.dispatch_overhead > 0.0:
             end = clock + phase.dispatch_overhead
             segments.append(TimelineSegment(0, clock, end, f"dispatch{index}"))
+            busy[0] += phase.dispatch_overhead
             clock = end
         free = [clock] * k
         for j, chunk in enumerate(phase.chunks, 1):
             p = min(range(k), key=free.__getitem__)
             segments.append(TimelineSegment(p, free[p], free[p] + chunk, f"chunk{index}.{j}"))
             free[p] += chunk
+            busy[p] += chunk
+            serial_chunks += chunk
         clock = max(free)
         if phase.collect_overhead > 0.0:
             end = clock + phase.collect_overhead
             segments.append(TimelineSegment(0, clock, end, f"collect{index}"))
+            busy[0] += phase.collect_overhead
             clock = end
-    return segments
+    return segments, busy, serial_seq + serial_chunks
 
 
 durations = st.one_of(
@@ -446,9 +467,14 @@ class TestHeapPlacement:
     @example(WorkloadSpec(4, (SequentialPhase(1e20), ParallelPhase(chunks=(1e-5,) * 3))))
     def test_matches_linear_scan_placement(self, spec):
         result = simulate(spec)
-        reference = linear_scan_timeline(spec)
-        assert result.timeline == tuple(reference)
-        assert result.parallel_time == max(segment.end for segment in reference)
+        timeline, busy, serial_time = linear_scan_schedule(spec)
+        parallel_time = max(segment.end for segment in timeline)
+        assert result.timeline == tuple(timeline)
+        assert result.parallel_time == parallel_time
+        # Exact: the accounting adds its floats in one fixed order.
+        assert result.serial_time == serial_time
+        assert result.per_processor_busy == tuple(busy)
+        assert result.per_processor_idle == tuple(max(0.0, parallel_time - b) for b in busy)
 
     def test_chunks_too_short_to_move_a_late_clock_share_a_processor(self):
         # 1e20 + 1e-5 rounds to 1e20, so processor 0 stays free at the phase
