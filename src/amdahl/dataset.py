@@ -216,7 +216,7 @@ def write_records(
 def derive(record: MachineRecord) -> DerivedMetrics:
     """Efficiency rmax/rpeak and the serial fraction it implies at the record's core count."""
     value, one_minus = _derived_pair(record)
-    return DerivedMetrics(efficiency=_measured_efficiency(value), one_minus_alpha_eff=one_minus)
+    return tuple.__new__(DerivedMetrics, (_measured_efficiency(value), one_minus))
 
 
 def _derived_pair(r: MachineRecord) -> tuple[float, float]:

@@ -17,6 +17,11 @@ Waiting time is never an input: it emerges wherever a processor has nothing
 to do. A run keeps one busy and one idle time per processor, so ``simulate``
 takes at most ``_MAX_PROCESSORS``.
 
+``sweep_alpha_eff`` places its template's chunks once and then evaluates the
+grid one overhead row at a time: a grid point costs O(1), and each row is
+computed in one pass. Its overflow check runs once per row, on the sweep's
+longest sequential time, and still names the first overflowing point.
+
 Busy and serial time are summed in input order, one addition at a time: each
 processor's busy time adds its durations, overheads and chunks as they run,
 and the serial time is the sequential durations' total plus the chunk work's
@@ -188,7 +193,7 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
     parallel_time = clock
     _require_finite_times(serial_time, parallel_time)
     speedup = Speedup(serial_time / parallel_time)
-    one_minus = _simulated_fraction(speedup.value, k)
+    [one_minus] = _simulated_fractions([speedup.value], k)
 
     idle = tuple([max(0.0, parallel_time - b) for b in busy])
     return ScheduleResult(
@@ -236,14 +241,22 @@ def _require_finite_times(serial_time: float, parallel_time: float) -> None:
                                    f"{serial_time!r}, parallel time {parallel_time!r}")
 
 
-def _simulated_fraction(speedup: float, k: int) -> float | None:
-    """1 - alpha_eff of a simulated speedup; None on one processor or below S = 1."""
-    if k < 2 or speedup < 1.0:
-        return None
+def _simulated_fractions(speedups: list[float], k: int) -> list[float | None]:
+    """1 - alpha_eff of each simulated speedup on k processors, in order.
+
+    The one rule for reading a simulated run back: every value is None on one
+    processor, and a value is None below S = 1, where no parallel fraction in
+    [0, 1] reproduces the run. ``simulate`` passes its one speedup, the sweep a
+    whole overhead row.
+    """
+    if k < 2:
+        return [None] * len(speedups)
     # Summation rounding can leave S a few ulp above k; the schedule itself
-    # can never beat k processors, so clamp before inverting. The workload's
-    # checks keep S finite, so the clamped value is a valid speedup on k.
-    return _from_speedup(min(speedup, float(k)), k)
+    # can never beat k processors, so clamp to min(S, k) before inverting; the
+    # conditional saves a min() call per point. The workload's checks keep S
+    # finite, so the clamped value is a valid speedup on k.
+    cap = float(k)
+    return [None if s < 1.0 else _from_speedup(cap if cap < s else s, k) for s in speedups]
 
 
 class SweepPoint(NamedTuple):
@@ -278,7 +291,16 @@ def sweep_alpha_eff(
     count) processors; so a sweep's time and memory do not grow with
     ``processors`` beyond the chunk count. Each grid point then costs O(1):
     its parallel time is sequential time + dispatch + span + collect, its
-    serial time is sequential time + chunk work. Values can differ from
+    serial time is sequential time + chunk work. The serial times are computed
+    once per sweep; each overhead row's speedups, fractions and points are then
+    computed in one pass.
+
+    A row's times are checked once, at the sweep's longest sequential time.
+    Adding non-negative floats rounds monotonically, so if that point's
+    parallel and serial times are finite, so are every point's in the row; a
+    nan overhead part (an overflowed total times a zero share) fails the same
+    check. Only a row that fails is scanned, in emission order, so the error
+    still names the first overflowing point. Values can differ from
     simulating each rescaled workload in the last few bits, because the span
     is measured from time 0 rather than from the end of the preceding phases.
 
@@ -312,20 +334,26 @@ def sweep_alpha_eff(
     _require_finite_times(chunk_work, span)
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
     sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]
+    times = [(seq_time, seq_time + chunk_work) for seq_time in sequential_times]
+    longest = max(sequential_times, default=0.0)
 
     points: list[SweepPoint] = []
     for ov in overhead_ratios:
         total = ov * max_chunk
         parallel_part = total * dispatch_share + span + total * (1.0 - dispatch_share)
-        for seq, seq_time in zip(sequential_ratios, sequential_times):
-            parallel_time = seq_time + parallel_part
-            serial_time = seq_time + chunk_work
-            if not (math.isfinite(parallel_time) and math.isfinite(serial_time)):
-                raise InvalidWorkloadError(
-                    f"sweep point overhead={ov!r} sequential={seq!r} overflows the time range"
-                )
-            one_minus = _simulated_fraction(serial_time / parallel_time, processors)
-            points.append(SweepPoint(ov, seq, one_minus))
+        # Adding to a non-negative float is monotone, so the longest sequential
+        # time overflows first; a nan part (inf * 0 overhead share) fails too.
+        if not (math.isfinite(longest + parallel_part) and math.isfinite(longest + chunk_work)):
+            for seq, (seq_time, serial_time) in zip(sequential_ratios, times):
+                if not (math.isfinite(seq_time + parallel_part) and math.isfinite(serial_time)):
+                    raise InvalidWorkloadError(
+                        f"sweep point overhead={ov!r} sequential={seq!r} overflows the time range"
+                    )
+        fractions = _simulated_fractions(
+            [serial_time / (seq_time + parallel_part) for seq_time, serial_time in times],
+            processors)
+        points += [tuple.__new__(SweepPoint, (ov, seq, one_minus))
+                   for seq, one_minus in zip(sequential_ratios, fractions)]
     return points
 
 

@@ -579,7 +579,10 @@ def checked_points(template, processors, overheads, sequentials):
     measures for the parallel phase alone on an idle machine.
     """
     base = next(p for p in template.phases if isinstance(p, ParallelPhase))
-    span = simulate(WorkloadSpec(processors, (ParallelPhase(base.chunks),))).parallel_time
+    # Processors beyond the chunk count never get a chunk (see _place), and
+    # simulate runs at most 10**6 of them.
+    span = simulate(WorkloadSpec(min(processors, len(base.chunks)),
+                                 (ParallelPhase(base.chunks),))).parallel_time
     base_total = base.dispatch_overhead + base.collect_overhead
     share = base.dispatch_overhead / base_total if base_total > 0.0 else 0.5
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
@@ -597,10 +600,15 @@ def checked_points(template, processors, overheads, sequentials):
     return points
 
 
+# Counts from 2**53 - 1 up, where float(k) may round and _from_speedup takes k - S in parts.
+huge_counts = st.sampled_from([2**53 - 1, 2**53 + 1, 10**17, sys.maxsize])
+
+
 class TestSweepMatchesCheckedInversion:
-    @given(st.one_of(exact_cases, float_cases))
-    def test_points_equal_the_public_inversion(self, case):
+    @given(st.one_of(exact_cases, float_cases), st.one_of(st.none(), huge_counts))
+    def test_points_equal_the_public_inversion(self, case, huge):
         template, processors, overheads, sequentials = case
+        processors = huge or processors
         points = sweep_alpha_eff(processors, template, overheads, sequentials)
         expected = checked_points(template, processors, overheads, sequentials)
         assert [repr(p.one_minus_alpha_eff) for p in points] == [repr(x) for x in expected]
@@ -682,6 +690,28 @@ class TestSweep:
             sweep_alpha_eff(3, realistic_spec(), [0.0, 1e308], [0.0, 1e308])
         with pytest.raises(InvalidWorkloadError, match=r"overhead=1e\+308 sequential=0\.0"):
             sweep_alpha_eff(3, realistic_spec(), [1e308], [0.0])
+
+    def test_first_overflowing_point_in_emission_order_is_named(self):
+        template = WorkloadSpec(2, (SequentialPhase(4.0), ParallelPhase((1.0, 2.0))))
+        for sequentials in ([1e308, 0.0], [0.0, 1e308]):
+            with pytest.raises(
+                InvalidWorkloadError,
+                match=r"^sweep point overhead=0\.0 sequential=1e\+308 overflows the time range$",
+            ):
+                sweep_alpha_eff(3, template, [0.0], sequentials)
+
+    def test_nan_overhead_share_is_rejected(self):
+        # No dispatch share: the overflowed total overhead times 0 is nan.
+        template = WorkloadSpec(2, (SequentialPhase(1.0), ParallelPhase((2.0, 2.0), 0.0, 0.5)))
+        with pytest.raises(
+            InvalidWorkloadError,
+            match=r"^sweep point overhead=1e\+308 sequential=2\.0 overflows the time range$",
+        ):
+            sweep_alpha_eff(3, template, [1.0, 1e308], [2.0, 0.0])
+
+    def test_empty_ratio_lists_give_no_points(self):
+        assert sweep_alpha_eff(3, realistic_spec(), [], [0.0, 1.0]) == []
+        assert sweep_alpha_eff(3, realistic_spec(), [0.0, 1e308], []) == []
 
     def test_working_point(self):
         points = sweep_alpha_eff(3, realistic_spec(), [0.5], [1.0])
