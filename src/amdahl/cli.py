@@ -4,7 +4,9 @@ One binary, many subcommands, two output modes. ``table`` is for reading,
 ``csv`` is for piping into plotting tools: it starts with ``#`` comment lines
 naming the command that produced it, then a header row, then data rows whose
 floats are written in shortest round-trip form so downstream parsing loses
-nothing. Given identical arguments and input files the output bytes are
+nothing. The line a table prints beside its rows, the ``project`` title or the
+``timeline`` fit, is built once: csv writes it as a ``#`` line, with ``repr``
+numbers. Given identical arguments and input files the output bytes are
 identical; nothing here reads clocks, environment variables, or config files.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand),
@@ -290,6 +292,8 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
     _arg("--workload", required=True, help="workload file (JSON)"),
 )
 def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
+    from itertools import compress
+
     from .workload import TimelineSegment, load_workload, simulate
 
     with open(args.workload, encoding="utf-8") as fh:
@@ -308,10 +312,14 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
             None if result.alpha_eff is None else result.alpha_eff.one_minus_alpha,
         ),
     ]
-    busy_rows = [
-        [p, busy, idle]
-        for p, (busy, idle) in enumerate(zip(result.per_processor_busy, result.per_processor_idle))
-    ]
+    busy, idle = result.per_processor_busy, result.per_processor_idle
+    # ran is one past the last processor with busy time > 0. Those after it never ran:
+    # busy 0.0, idle the makespan. Two or more of them are one row, labelled by their range.
+    ran = max(compress(range(1, len(busy) + 1), busy), default=0)
+    shown = ran if len(busy) - ran >= 2 else len(busy)
+    busy_rows: list[list[object]] = [[p, busy[p], idle[p]] for p in range(shown)]
+    if shown < len(busy):
+        busy_rows.append([f"{shown}-{len(busy) - 1}", busy[shown], idle[shown]])
 
     if output.is_table:
         output.scalars(pairs)
@@ -342,20 +350,13 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
         fit = fit_semilog([(row[0], row[-1]) for row in rows])
     except ValueError:  # fewer than two champions, or no fit through them
         fit = None
-    comments = []
-    if fit is not None:
-        comments.append(
-            "fit log10(one_minus_alpha_eff) ~ year: "
-            f"slope={fit.slope!r} intercept={fit.intercept!r} "
-            f"r_squared={fit.r_squared!r} n={fit.n}"
-        )
-    output.table(_COLUMNS, rows, comments=comments)
-    if fit is not None and output.is_table:
-        output.out.write(
-            "\nfit of log10(one_minus_alpha_eff) on year: "
-            f"slope {output.number(fit.slope)}, intercept {output.number(fit.intercept)}, "
-            f"r_squared {output.number(fit.r_squared)}, n {fit.n}\n"
-        )
+    fit_lines = [] if fit is None else [
+        "fit of log10(one_minus_alpha_eff) on year: "
+        + ", ".join(f"{key} {output.cell(value)}" for key, value in zip(fit._fields, fit))
+    ]
+    output.table(_COLUMNS, rows, comments=fit_lines)
+    if output.is_table:
+        output.out.writelines(f"\n{line}\n" for line in fit_lines)
 
 
 @_command(
@@ -420,15 +421,14 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
 
     grid = geometric_grid(args.rpeak_from, args.rpeak_to, args.points)
     rows = project_curve(base_cores, base_rpeak, one_minus_alpha, grid)
+    title = f"{base_note}  one_minus_alpha={output.cell(one_minus_alpha)}"
     if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
         rows = [(rp, float(k) if k > 2**53 else k, e, rmax) for rp, k, e, rmax in rows]
-        output.out.write(
-            output.one_line(f"{base_note}  one_minus_alpha={output.number(one_minus_alpha)}") + "\n"
-        )
+        output.out.write(output.one_line(title) + "\n")
     output.table(
         ("rpeak_gflops", "cores", "efficiency", "rmax_gflops"),
         rows,
-        comments=[base_note, f"one_minus_alpha={one_minus_alpha!r}"],
+        comments=[title],
     )
 
 

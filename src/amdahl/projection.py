@@ -5,7 +5,10 @@ as ground truth and extrapolates. The model is deliberately pessimistic about
 nothing and optimistic about nothing: it assumes the serial fraction stays
 fixed unless the caller scales it explicitly.
 
-Throughput values are in Gflop/s throughout, matching the record files.
+Throughput values are in Gflop/s, matching the record files, except in the
+bounds budget: ``ContributionBudget.per_processor_flops`` and
+``BoundsResult.saturation_flops`` are in flop/s. ``saturation_rmax`` gives its
+ceiling in the unit of the per-processor rate it is given.
 """
 
 from __future__ import annotations

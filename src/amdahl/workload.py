@@ -83,7 +83,8 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
     __slots__ = ()
 
     def __new__(cls, processors: int, phases: Iterable[Phase]):
-        # At most sys.maxsize: the simulator keeps one list slot per processor.
+        # At most sys.maxsize, the workload format's documented limit, which
+        # sweep_alpha_eff takes too; simulate's own cap, _MAX_PROCESSORS, is on the run.
         processors = _require_count(processors, "processors", 1, error=InvalidWorkloadError,
                                     maximum=sys.maxsize, excess=InvalidWorkloadError)
         phases = tuple(_checked_phase(phase, i) for i, phase in enumerate(phases, 1))

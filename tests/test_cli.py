@@ -29,12 +29,16 @@ from amdahl.dataset import (
     Architecture,
     Benchmark,
     MachineRecord,
+    RegressionFit,
+    derive,
     fixture_path,
+    fit_semilog,
     parse_records,
     read_records,
     select_champions,
     write_records,
 )
+from amdahl.workload import load_workload, simulate
 
 HPL = fixture_path("top500_2017_hpl.csv")
 HPCG = fixture_path("top500_2017_hpcg.csv")
@@ -223,6 +227,56 @@ class TestSimulate:
         assert "# speedup = 2.0" in out
         assert "# one_minus_alpha_eff = 0.25" in out
 
+    @staticmethod
+    def processor_rows(fmt: str, out: str) -> list[tuple[str, float, float]]:
+        """The (processor, busy, idle) rows of a simulate output, as printed."""
+        if fmt == "csv":
+            found = re.findall(r"^# processor (\S+): busy=(\S+) idle=(\S+)$", out, re.M)
+        else:
+            block = re.split(r"\nprocessor +busy +idle\n", out)[1].split("\n\n", 1)[0]
+            found = [line.split() for line in block.splitlines()]
+        return [(label, float(busy), float(idle)) for label, busy, idle in found]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_processors_that_never_ran_share_one_row(self, capsys, tmp_path, fmt):
+        # Three chunks on k processors: 0, 1 and 2 ran; two or more left idle are one
+        # row, a single one keeps its index.
+        for k, labels in ((8, ["0", "1", "2", "3-7"]), (5, ["0", "1", "2", "3-4"]),
+                          (4, ["0", "1", "2", "3"])):
+            path = tmp_path / f"k{k}.json"
+            path.write_text(json.dumps(
+                {"processors": k, "phases": [{"type": "parallel", "chunks": [1, 2, 3]}]}
+            ), encoding="utf-8")
+            code, out, err = cli(capsys, "--format", fmt, "simulate", "--workload", str(path))
+            assert (code, err) == (0, "")
+            with open(path, encoding="utf-8") as fh:
+                result = simulate(load_workload(fh))
+            busy, idle = result.per_processor_busy, result.per_processor_idle
+            assert self.processor_rows(fmt, out) == [
+                (label, busy[p], idle[p]) for p, label in enumerate(labels)
+            ]
+            assert busy[3:] == (0.0,) * (k - 3)
+            assert idle[3:] == (result.parallel_time,) * (k - 3) == (3.0,) * (k - 3)
+
+    def test_processors_that_ran_keep_their_rows_when_equal(self, capsys):
+        # Processors 1 and 2 of the classic workload each ran a chunk, with equal times.
+        code, out, _ = cli(capsys, "simulate", "--workload", CLASSIC)
+        assert code == 0
+        rows = self.processor_rows("table", out)
+        assert [label for label, _, _ in rows] == ["0", "1", "2"]
+        assert rows[1][1:] == rows[2][1:]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_a_run_at_the_processor_cap_prints_a_few_lines(self, capsys, tmp_path, fmt):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(
+            {"processors": 10**6, "phases": [{"type": "parallel", "chunks": [1, 2, 3]}]}
+        ), encoding="utf-8")
+        code, out, err = cli(capsys, "--format", fmt, "simulate", "--workload", str(path))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) < 30
+        assert self.processor_rows(fmt, out)[3:] == [("3-999999", 0.0, 3.0)]
+
     def test_single_processor_reports_no_estimate(self, capsys, tmp_path):
         doc = {"processors": 1, "phases": [{"type": "parallel", "chunks": [1.0, 2.0]}]}
         path = tmp_path / "serial.json"
@@ -388,7 +442,35 @@ class TestTimeline:
         code, out, _ = cli(
             capsys, "--format", "csv", "timeline", "--input", str(path), "--select", "best-alpha"
         )
-        assert "# fit log10(one_minus_alpha_eff) ~ year: slope=-" in out
+        assert "# fit of log10(one_minus_alpha_eff) on year: slope -" in out
+
+    def test_fit_line_is_the_table_line_with_exact_numbers_in_csv(self, capsys, tmp_path):
+        path = tmp_path / "three_years.csv"
+        path.write_text(
+            "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+            "1993,1,Old Machine,MPP,1024,59.7,131.0,HPL\n"
+            "2005,1,Mid Machine,MPP,131072,280600,367000,HPL\n"
+            "2017,1,New Machine,MPP,10649600,92750000,125000000,HPL\n",
+            encoding="utf-8",
+        )
+        argv = ("timeline", "--input", str(path), "--select", "best-alpha")
+        code, table, _ = cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = cli(capsys, "--format", "csv", *argv)
+        assert code == 0
+        (comment,) = [line[2:] for line in out.splitlines()[1:] if line.startswith("# ")]
+        prefix = "fit of log10(one_minus_alpha_eff) on year: "
+        table_line = table.splitlines()[-1]
+        assert table.endswith("\n\n" + table_line + "\n")
+        assert table_line.startswith(prefix) and comment.startswith(prefix)
+        shown = dict(item.split(" ") for item in table_line[len(prefix):].split(", "))
+        exact = dict(item.split(" ") for item in comment[len(prefix):].split(", "))
+        assert list(shown) == list(exact) == list(RegressionFit._fields)
+        champions = select_champions(read_records(str(path)), "best-alpha")
+        fit = fit_semilog([(r.year, derive(r).one_minus_alpha_eff) for r in champions])
+        assert RegressionFit(*map(float, list(exact.values())[:3]), int(exact["n"])) == fit
+        assert shown == {key: value if key == "n" else f"{float(value):.3e}"
+                         for key, value in exact.items()}
 
     def test_single_year_has_no_fit_line(self, capsys):
         code, out, _ = cli(capsys, "timeline", "--input", EARLY, "--select", "best-rmax")
@@ -577,6 +659,26 @@ class TestProject:
             "base: name=two\\nlines cores=100 rpeak_gflops=100.0  one_minus_alpha=1.010e-02",
             "rpeak_gflops  cores  efficiency  rmax_gflops",
         ]
+
+    @pytest.mark.parametrize("mode", ["input", "explicit"])
+    def test_title_is_the_csv_comment_with_a_rounded_fraction(self, capsys, mode):
+        record = next(r for r in read_records(HPL) if r.name == "Sunway TaihuLight")
+        one_minus_alpha = derive(record).one_minus_alpha_eff
+        base = (["--input", HPL, "--name", record.name] if mode == "input" else
+                ["--one-minus-alpha", repr(one_minus_alpha), "--cores", str(record.cores),
+                 "--rpeak", repr(record.rpeak)])
+        argv = ("project", *base, "--rpeak-from", "1e8", "--rpeak-to", "1e9", "--points", "2")
+        code, table, _ = cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = cli(capsys, "--format", "csv", *argv)
+        assert code == 0
+        (comment,) = [line[2:] for line in out.splitlines()[1:] if line.startswith("# ")]
+        note, value = comment.rsplit("  one_minus_alpha=", 1)
+        assert float(value) == one_minus_alpha
+        assert note == ("base: name=Sunway TaihuLight " if mode == "input" else "base: ") + (
+            f"cores={record.cores} rpeak_gflops={record.rpeak!r}"
+        )
+        assert table.splitlines()[0] == f"{note}  one_minus_alpha={float(value):.3e}"
 
     def test_unknown_and_ambiguous_names_exit_2(self, capsys, tmp_path):
         code, _, err = cli(
@@ -917,7 +1019,11 @@ class TestCsvComments:
         preamble = self.preamble(out)
         assert preamble[-1] == "rpeak_gflops,cores,efficiency,rmax_gflops"
         assert "# base: name=Sun" in preamble
-        assert "# way cores=10649600 rpeak_gflops=125435904.0" in preamble
+        (record,) = read_records(str(path))
+        assert (
+            f"# way cores=10649600 rpeak_gflops=125435904.0  "
+            f"one_minus_alpha={derive(record).one_minus_alpha_eff!r}"
+        ) in preamble
         assert all(line.startswith("# ") for line in preamble[:-1])
 
     def test_comment_holding_a_quote_after_a_comma_reads_back(self, capsys, tmp_path):
