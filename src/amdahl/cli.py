@@ -312,14 +312,13 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
             None if result.alpha_eff is None else result.alpha_eff.one_minus_alpha,
         ),
     ]
-    busy, idle = result.per_processor_busy, result.per_processor_idle
+    busy, idle, k = result.per_processor_busy, result.per_processor_idle, spec.processors
     # ran is one past the last processor with busy time > 0. Those after it never ran:
     # busy 0.0, idle the makespan. Two or more of them are one row, labelled by their range.
     ran = max(compress(range(1, len(busy) + 1), busy), default=0)
-    shown = ran if len(busy) - ran >= 2 else len(busy)
-    busy_rows: list[list[object]] = [[p, busy[p], idle[p]] for p in range(shown)]
-    if shown < len(busy):
-        busy_rows.append([f"{shown}-{len(busy) - 1}", busy[shown], idle[shown]])
+    busy_rows: list[list[object]] = [[p, busy[p], idle[p]] for p in range(ran)]
+    if ran < k:
+        busy_rows.append([ran if k - ran == 1 else f"{ran}-{k - 1}", 0.0, result.parallel_time])
 
     if output.is_table:
         output.scalars(pairs)
@@ -583,11 +582,31 @@ def _cmd_sweep(args: argparse.Namespace, output: _Output) -> None:
     )
 
 
+def _negative_value(flag: str, token: str) -> bool:
+    """Whether token is a negative number given to flag, such as ``--speedup -1e3``.
+
+    argparse reads a token like ``-1e3`` or ``-inf`` as a flag of its own, but takes
+    any value written ``--flag=-1e3``; ``--help`` takes no value.
+    """
+    try:
+        _performance(token)
+    except argparse.ArgumentTypeError:
+        return False
+    return (token[:1] == "-" and flag[:2] == "--" and flag[2:].replace("-", "").isalnum()
+            and not "--help".startswith(flag))
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the process exit code."""
     argv_list = list(sys.argv[1:] if argv is None else argv)
+    parsed = argv_list[:1]
+    for flag, token in zip(argv_list, argv_list[1:]):
+        if _negative_value(flag, token):
+            parsed[-1] += "=" + token
+        else:
+            parsed.append(token)
     try:
-        args = _build_parser().parse_args(argv_list)
+        args = _build_parser().parse_args(parsed)
         _COMMANDS[args.command][2](args, _Output(args.format, args.precision, argv_list))
     except _UsageError as err:  # a handler raises it without a parser, so no usage line
         if err.parser is not None:

@@ -14,8 +14,8 @@ does that placement for every parallel phase: a heap of (free time, index)
 pairs over min(k, n) processors finds each of n chunks its processor, so a
 phase costs O(n log min(k, n)) placement plus one timeline segment per chunk.
 Waiting time is never an input: it emerges wherever a processor has nothing
-to do. A run keeps one busy and one idle time per processor, so ``simulate``
-takes at most ``_MAX_PROCESSORS``.
+to do. A run keeps busy and idle times only for the processors that can run,
+so ``simulate`` takes any processor count a ``WorkloadSpec`` takes.
 
 ``sweep_alpha_eff`` places its template's chunks once and then evaluates the
 grid one overhead row at a time: a grid point costs O(1), and each row is
@@ -55,13 +55,9 @@ from .core import (
     _require_positive,
     _shown,
 )
-from .errors import InvalidTemplateError, InvalidWorkloadError, ModelError
+from .errors import InvalidTemplateError, InvalidWorkloadError
 
 __all__ = _HOMES["workload"]
-
-# The most processors simulate runs: each one costs a busy and an idle slot, so a
-# larger count is rejected before anything is allocated.
-_MAX_PROCESSORS = 10**6
 
 
 class SequentialPhase(NamedTuple):
@@ -84,7 +80,7 @@ class WorkloadSpec(_Checked, namedtuple("WorkloadSpec", "processors phases")):
 
     def __new__(cls, processors: int, phases: Iterable[Phase]):
         # At most sys.maxsize, the workload format's documented limit, which
-        # sweep_alpha_eff takes too; simulate's own cap, _MAX_PROCESSORS, is on the run.
+        # simulate and sweep_alpha_eff both take.
         processors = _require_count(processors, "processors", 1, error=InvalidWorkloadError,
                                     maximum=sys.maxsize, excess=InvalidWorkloadError)
         phases = tuple(_checked_phase(phase, i) for i, phase in enumerate(phases, 1))
@@ -138,6 +134,12 @@ class ScheduleResult(NamedTuple):
     the simulated makespan including them. ``alpha_eff`` is None on a single
     processor, and also when overheads push the measured speedup below 1,
     where no parallel fraction in [0, 1] reproduces the run.
+
+    ``per_processor_busy`` and ``per_processor_idle`` cover processors 0 to
+    m - 1, where m is the processor count or the largest chunk count of any
+    parallel phase, whichever is smaller (1 with no parallel phase). The
+    processors from m on never ran: each has busy time 0.0 and idle time
+    ``parallel_time``.
     """
 
     serial_time: float
@@ -153,14 +155,13 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
     """Run the greedy schedule and measure it. See the module docstring for semantics.
 
     Raises:
-        ModelError: more than ``_MAX_PROCESSORS`` (10**6) processors.
         InvalidWorkloadError: the run's times overflow the float range, or
             its speedup, serial over parallel time, underflows to 0.
     """
     k = workload.processors
-    if k > _MAX_PROCESSORS:
-        raise ModelError(f"simulate runs at most {_MAX_PROCESSORS} processors, got {k}")
-    busy = [0.0] * k
+    widest = max([len(p.chunks) for p in workload.phases if isinstance(p, ParallelPhase)],
+                 default=1)
+    busy = [0.0] * min(k, widest)  # no processor past the widest phase runs: see _place
     timeline: list[TimelineSegment] = []
     clock = 0.0
     serial_chunks = 0.0

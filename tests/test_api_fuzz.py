@@ -15,8 +15,9 @@ reach the arithmetic behind them.
 The one float a result may hold as inf is ``Efficiency.inverse_excess``, 1/E - 1,
 which overflows for an efficiency below about 5.6e-309.
 
-Ints that would size an allocation, a grid's point count or a simulation's
-processor list, are drawn at most 64 or past the 10**6 cap that rejects them.
+Ints that could size an allocation are drawn at most 64 or above 10**6. A grid
+of more than 10**6 points is rejected; a simulation keeps only as many
+processors as its widest phase has chunks, so it runs at any drawn count.
 """
 
 from __future__ import annotations

@@ -127,6 +127,13 @@ class TestAlpha:
         expected = alpha_eff_from_efficiency(0.69, 16).one_minus_alpha
         assert float(scalar_map(out)["one_minus_alpha"]) == expected
 
+    @pytest.mark.parametrize("value, shown", [
+        ("-1e3", "-1000.0"), ("-inf", "-inf"), ("-nan", "nan"), ("-.5", "-0.5"),
+    ])
+    def test_negative_value_after_a_space_reaches_the_library(self, capsys, value, shown):
+        code, out, err = cli(capsys, "alpha", "--speedup", value, "--cores", "4")
+        assert (code, out, err) == (2, "", f"error: speedup must be finite and > 0, got {shown}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -240,23 +247,26 @@ class TestSimulate:
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_processors_that_never_ran_share_one_row(self, capsys, tmp_path, fmt):
         # Three chunks on k processors: 0, 1 and 2 ran; two or more left idle are one
-        # row, a single one keeps its index.
-        for k, labels in ((8, ["0", "1", "2", "3-7"]), (5, ["0", "1", "2", "3-4"]),
-                          (4, ["0", "1", "2", "3"])):
-            path = tmp_path / f"k{k}.json"
-            path.write_text(json.dumps(
-                {"processors": k, "phases": [{"type": "parallel", "chunks": [1, 2, 3]}]}
-            ), encoding="utf-8")
+        # row, a single one keeps its index. Behind a 1e20 sequential phase, 1e-5
+        # chunks all run on processor 0, so 1 and 2 share the row of those past 2.
+        three = [{"type": "parallel", "chunks": [1, 2, 3]}]
+        late = [{"type": "sequential", "duration": 1e20},
+                {"type": "parallel", "chunks": [1e-5] * 3}]
+        for n, (k, phases, labels) in enumerate((
+            (8, three, ["0", "1", "2", "3-7"]), (5, three, ["0", "1", "2", "3-4"]),
+            (4, three, ["0", "1", "2", "3"]), (8, late, ["0", "1-7"]),
+        )):
+            path = tmp_path / f"case{n}.json"
+            path.write_text(json.dumps({"processors": k, "phases": phases}), encoding="utf-8")
             code, out, err = cli(capsys, "--format", fmt, "simulate", "--workload", str(path))
             assert (code, err) == (0, "")
             with open(path, encoding="utf-8") as fh:
                 result = simulate(load_workload(fh))
             busy, idle = result.per_processor_busy, result.per_processor_idle
             assert self.processor_rows(fmt, out) == [
-                (label, busy[p], idle[p]) for p, label in enumerate(labels)
+                *((label, busy[p], idle[p]) for p, label in enumerate(labels[:-1])),
+                (labels[-1], 0.0, result.parallel_time),
             ]
-            assert busy[3:] == (0.0,) * (k - 3)
-            assert idle[3:] == (result.parallel_time,) * (k - 3) == (3.0,) * (k - 3)
 
     def test_processors_that_ran_keep_their_rows_when_equal(self, capsys):
         # Processors 1 and 2 of the classic workload each ran a chunk, with equal times.
@@ -357,14 +367,16 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: processors must be <= ")
 
-    def test_processors_above_the_simulate_cap_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "cap.json"
-        doc = {"processors": 10**6 + 1, "phases": [{"type": "sequential", "duration": 1}]}
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = cli(capsys, "simulate", "--workload", str(path))
-        assert (code, out, err) == (
-            2, "", "error: simulate runs at most 1000000 processors, got 1000001\n"
-        )
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_the_largest_processor_count_runs(self, capsys, tmp_path, fmt):
+        path = tmp_path / "maxsize.json"
+        path.write_text(json.dumps(
+            {"processors": sys.maxsize, "phases": [{"type": "parallel", "chunks": [1, 2, 3]}]}
+        ), encoding="utf-8")
+        code, out, err = cli(capsys, "--format", fmt, "simulate", "--workload", str(path))
+        assert (code, err) == (0, "")
+        assert self.processor_rows(fmt, out)[3:] == [("3-9223372036854775806", 0.0, 3.0)]
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE)
 
     def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -959,6 +971,14 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_negative_zero_after_a_space_is_read_and_echoed_as_given(self, capsys):
+        argv = ("--format", "csv", "sweep", "--workload", REALISTIC,
+                "--overhead", "-0e0", "--sequential", "0")
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "# amdahl " + shlex.join(argv)
+        assert csv_rows(out)[1][0] == "-0.0"
+
     def test_negative_ratio_exits_2(self, capsys):
         code, _, _ = cli(
             capsys, "sweep", "--workload", REALISTIC,
@@ -1104,11 +1124,18 @@ class TestHarness:
              "argument --cores: expected an integer, got 'x'"),
             (("alpha", "--efficiency", "0.5", "--cores", "0"),
              "argument --cores: expected a positive integer, got 0"),
+            (("alpha", "--efficiency", "0.5", "--cores", "-4"),
+             "argument --cores: expected a positive integer, got -4"),
+            (("alpha", "--efficiency", "0.5", "--cores", "-4e0"),
+             "argument --cores: expected an integer, got '-4e0'"),
             (("--precision", "x", "alpha", "--efficiency", "0.5", "--cores", "4"),
              "argument --precision: expected an integer, got 'x'"),
             (("whatif", "--efficiency", "0.5", "--cores", "2", "--new-cores", "4",
               "--rpeak", "100", "--alpha-scale", "x"),
              "argument --alpha-scale: expected a number, got 'x'"),
+            (("whatif", "--efficiency", "0.5", "--cores", "2", "--new-cores", "4",
+              "--rpeak", "100", "--alpha-scale", "-1e3"),
+             "argument --alpha-scale: expected a nonnegative number, got -1000.0"),
             (("sweep", "--workload", REALISTIC, "--overhead", ",", "--sequential", "0"),
              "argument --overhead: expected at least one ratio"),
             (("saturation", "--per-proc-flops", "abcP", "--one-minus-alpha", "1e-5"),
@@ -1121,7 +1148,8 @@ class TestHarness:
               "--rpeak-from", "1", "--rpeak-to", "2", "--points", "0"),
              "argument --points: a projection grid needs at least 2 points"),
         ],
-        ids=["cores-not-int", "cores-zero", "precision-not-int", "alpha-scale-not-number",
+        ids=["cores-not-int", "cores-zero", "cores-negative", "cores-negative-exponent",
+             "precision-not-int", "alpha-scale-not-number", "alpha-scale-negative",
              "empty-ratio-list", "bad-performance", "explicit-without-rpeak", "points-zero"],
     )
     def test_argument_errors_exit_1(self, capsys, argv, message):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from amdahl.core import AlphaEstimate, Efficiency, EstimationMethod, Speedup, alpha_eff_from_speedup
 from amdahl.dataset import fixture_path
 from amdahl.workload import (
-    _MAX_PROCESSORS,
     ParallelPhase,
     SequentialPhase,
     TimelineSegment,
@@ -25,7 +24,7 @@ from amdahl.workload import (
     simulate,
     sweep_alpha_eff,
 )
-from amdahl.errors import InvalidTemplateError, InvalidWorkloadError, ModelError
+from amdahl.errors import InvalidTemplateError, InvalidWorkloadError
 
 
 def classic_spec() -> WorkloadSpec:
@@ -174,7 +173,8 @@ class TestSimulatorEdges:
         result = simulate(WorkloadSpec(processors=3, phases=(ParallelPhase(chunks=(1.0, 1.0)),)))
         chunk_segments = [s for s in result.timeline if s.label.startswith("chunk")]
         assert [s.processor for s in chunk_segments] == [0, 1]
-        assert result.per_processor_busy[2] == 0.0
+        # Processor 2 never runs, so the result keeps no times for it.
+        assert len(result.per_processor_busy) == len(result.per_processor_idle) == 2
 
 
 class TestWorkloadValidation:
@@ -275,22 +275,22 @@ class TestWorkloadValidation:
                 WorkloadSpec(processors=processors, phases=(SequentialPhase(1.0),))
         assert WorkloadSpec(sys.maxsize, (SequentialPhase(1.0),)).processors == sys.maxsize
 
-    def test_simulate_rejects_processors_above_its_cap_before_allocating(self):
-        # Neither count is allocated: the cap is checked first.
-        assert _MAX_PROCESSORS == 10**6
-        for processors in (_MAX_PROCESSORS + 1, sys.maxsize):
-            spec = WorkloadSpec(processors, (SequentialPhase(1.0),))
+    def test_simulate_keeps_only_the_processors_that_can_run(self):
+        # Sunway TaihuLight's 10,649,600 cores and the largest count a spec takes:
+        # three chunks run on processors 0 to 2, and no other processor is allocated.
+        for processors in (10_649_600, sys.maxsize):
+            spec = WorkloadSpec(processors, (ParallelPhase((1.0, 2.0, 3.0)),))
             tracemalloc.start()
             try:
-                with pytest.raises(
-                    ModelError,
-                    match=f"^simulate runs at most 1000000 processors, got {processors}$",
-                ):
-                    simulate(spec)
+                result = simulate(spec)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+            assert result.per_processor_busy == (1.0, 2.0, 3.0)
+            assert result.per_processor_idle == (2.0, 1.0, 0.0)
+            assert result.parallel_time == 3.0
+            assert result.alpha_eff.cores == processors
 
 
 @st.composite
@@ -473,8 +473,13 @@ class TestHeapPlacement:
         assert result.parallel_time == parallel_time
         # Exact: the accounting adds its floats in one fixed order.
         assert result.serial_time == serial_time
-        assert result.per_processor_busy == tuple(busy)
-        assert result.per_processor_idle == tuple(max(0.0, parallel_time - b) for b in busy)
+        idle = [max(0.0, parallel_time - b) for b in busy]
+        # The result keeps the first m processors; every one past them never ran.
+        m = len(result.per_processor_busy)
+        assert result.per_processor_busy == tuple(busy[:m])
+        assert result.per_processor_idle == tuple(idle[:m])
+        assert busy[m:] == [0.0] * (len(busy) - m)
+        assert idle[m:] == [parallel_time] * (len(busy) - m)
 
     def test_chunks_too_short_to_move_a_late_clock_share_a_processor(self):
         # 1e20 + 1e-5 rounds to 1e20, so processor 0 stays free at the phase
