@@ -4,10 +4,11 @@ One binary, many subcommands, two output modes. ``table`` is for reading,
 ``csv`` is for piping into plotting tools: it starts with ``#`` comment lines
 naming the command that produced it, then a header row, then data rows whose
 floats are written in shortest round-trip form so downstream parsing loses
-nothing. The line a table prints beside its rows, the ``project`` title or the
-``timeline`` fit, is built once: csv writes it as a ``#`` line, with ``repr``
-numbers. Given identical arguments and input files the output bytes are
-identical; nothing here reads clocks, environment variables, or config files.
+nothing. A table's notes, the ``project`` title, the ``timeline`` fit and the
+``sweep`` processor count, are built once: a table prints them as plain lines
+above its header, csv as ``#`` lines with ``repr`` numbers. Given identical
+arguments and input files the output bytes are identical; nothing here reads
+clocks, environment variables, or config files.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand),
 2 data or model error (malformed input rows, superlinear measurements,
@@ -94,6 +95,8 @@ _grid_points = _flag_type(int, "an integer", lambda n: n >= 2,
                           "a projection grid needs at least 2 points")
 _precision = _flag_type(int, "an integer", lambda n: 1 <= n <= 17,
                         "precision must be in [1, 17], got {}")
+# Every float passes; the library checks its own domain.
+_number = _flag_type(float, "a number", lambda x: True, "")
 # nan is not below 0: it passes on to the library's guard, as inf does.
 _nonnegative_float = _flag_type(float, "a number", lambda x: not x < 0.0,
                                 "expected a nonnegative number, got {}")
@@ -146,26 +149,33 @@ class _Output:
                 break
         return f"{self.number(value)} {unit} ({human})"
 
+    def aligned(self, rows: Sequence[Sequence[str]]) -> None:
+        """Text rows in left-aligned columns two spaces apart, each row on one line."""
+        rows = [[self.one_line(c) for c in row] for row in rows]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            self.out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+
     def scalars(self, pairs: Sequence[tuple[str, object]]) -> None:
         """One ``key  value`` line per pair; csv writes them as a one-row table."""
-        keys = [key for key, _ in pairs]
-        if not self.is_table:
-            self.table(keys, [[value for _, value in pairs]])
-            return
-        width = max(map(len, keys))
-        for key, value in pairs:
-            self.out.write(f"{key:<{width}}  {self.cell(value)}\n")
+        if self.is_table:
+            self.aligned([(key, self.cell(value)) for key, value in pairs])
+        else:
+            keys, values = zip(*pairs)
+            self.table(keys, [values])
 
     def table(
         self, headers: Sequence[str], rows: Sequence[Sequence[object]], comments: Sequence[str] = ()
     ) -> None:
-        """Rows under a header; csv puts the command line and ``comments`` in ``#`` lines first."""
+        """Rows under a header, after the notes in ``comments``.
+
+        A table prints each note as one plain line; csv prints the command line, then the
+        notes, as ``#`` lines.
+        """
         text_rows = [[self.cell(v) for v in row] for row in rows]
         if self.is_table:
-            text_rows = [[self.one_line(c) for c in row] for row in text_rows]
-            widths = [max(map(len, column)) for column in zip(headers, *text_rows)]
-            for r in (headers, *text_rows):
-                self.out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+            self.out.writelines(self.one_line(note) + "\n" for note in comments)
+            self.aligned([headers, *text_rows])
             return
         import shlex
 
@@ -197,27 +207,19 @@ def _command(name: str, summary: str, *arguments: tuple[str, dict]) -> Callable:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("table", "csv"),
-        default=argparse.SUPPRESS,
-        help="output format (default: table)",
-    )
-    common.add_argument(
-        "--precision",
-        type=_precision,
-        default=argparse.SUPPRESS,
-        help="significant digits for table output (default: 4)",
-    )
-
     parser = _Parser(
         prog="amdahl",
         description="Strong-scaling analysis: serial-fraction estimation, "
         "benchmark record analytics, scaling projections, and timeline simulation.",
     )
-    parser.add_argument("--format", choices=("table", "csv"), default="table")
-    parser.add_argument("--precision", type=_precision, default=4)
+    common = _Parser(add_help=False)
+    # Both parsers take the output flags; one given after the subcommand wins.
+    for p in (parser, common):
+        p.add_argument("--format", choices=("table", "csv"), default=argparse.SUPPRESS,
+                       help="output format (default: table)")
+        p.add_argument("--precision", type=_precision, default=argparse.SUPPRESS,
+                       help="significant digits for table output (default: 4)")
+    parser.set_defaults(format="table", precision=4)
     sub = parser.add_subparsers(dest="command", metavar="<command>", required=True)
     for name, (summary, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=summary)
@@ -226,32 +228,48 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The estimation modes of `amdahl alpha`: the flags that select each one, the flags
-# its core estimator takes in order, that estimator's name (named rather than
-# imported, so building the parser loads no library layer), and the message for a
-# missing flag.
-_ALPHA_MODES = (
-    (("efficiency",), ("efficiency", "cores"), "alpha_eff_from_efficiency",
-     "--efficiency also needs --cores"),
-    (("speedup",), ("speedup", "cores"), "alpha_eff_from_speedup",
-     "--speedup also needs --cores"),
-    (("e1", "e2"), ("e1", "k1", "e2", "k2"), "alpha_from_two_efficiencies",
-     "two-point estimation needs all of --e1 --k1 --e2 --k2"),
-    (("t1", "t2"), ("t1", "k1", "t2", "k2"), "alpha_from_two_timings",
-     "two-timing estimation needs all of --t1 --k1 --t2 --k2"),
-)
+def _flag_group(args: argparse.Namespace, groups: dict, message: str) -> tuple[str, list]:
+    """The name of the one group of flags args uses, and the values of its flags in order.
+
+    ``groups`` maps a name to the flags that select the group, the flags it needs and
+    the message for a missing one. Selecting no group or more than one is ``message``.
+    """
+    picked = [name for name, (select, _, _) in groups.items()
+              if any(getattr(args, f) is not None for f in select)]
+    if len(picked) != 1:
+        raise _UsageError(message)
+    _, flags, missing = groups[picked[0]]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
+        raise _UsageError(missing)
+    return picked[0], values
+
+
+# The estimation modes of `amdahl alpha`, by the name of the core estimator that
+# takes their flags in order (named rather than imported, so building the parser
+# loads no library layer).
+_ALPHA_MODES = {
+    "alpha_eff_from_efficiency": (("efficiency",), ("efficiency", "cores"),
+                                  "--efficiency also needs --cores"),
+    "alpha_eff_from_speedup": (("speedup",), ("speedup", "cores"),
+                               "--speedup also needs --cores"),
+    "alpha_from_two_efficiencies": (("e1", "e2"), ("e1", "k1", "e2", "k2"),
+                                    "two-point estimation needs all of --e1 --k1 --e2 --k2"),
+    "alpha_from_two_timings": (("t1", "t2"), ("t1", "k1", "t2", "k2"),
+                               "two-timing estimation needs all of --t1 --k1 --t2 --k2"),
+}
 
 
 @_command(
     "alpha",
     "estimate the effective serial fraction from measurements",
-    _arg("--efficiency", type=float, help="measured efficiency in (0, 1]"),
-    _arg("--speedup", type=float, help="measured speedup"),
+    _arg("--efficiency", type=_number, help="measured efficiency in (0, 1]"),
+    _arg("--speedup", type=_number, help="measured speedup"),
     _arg("--cores", type=_positive_int, help="processor count of the measurement"),
-    _arg("--e1", type=float, help="first efficiency of a two-point estimate"),
-    _arg("--e2", type=float, help="second efficiency of a two-point estimate"),
-    _arg("--t1", type=float, help="first runtime of a two-timing estimate"),
-    _arg("--t2", type=float, help="second runtime of a two-timing estimate"),
+    _arg("--e1", type=_number, help="first efficiency of a two-point estimate"),
+    _arg("--e2", type=_number, help="second efficiency of a two-point estimate"),
+    _arg("--t1", type=_number, help="first runtime of a two-timing estimate"),
+    _arg("--t2", type=_number, help="second runtime of a two-timing estimate"),
     _arg("--k1", type=_positive_int, help="cores of the first point"),
     _arg("--k2", type=_positive_int, help="cores of the second point"),
 )
@@ -259,16 +277,9 @@ def _cmd_alpha(args: argparse.Namespace, output: _Output) -> None:
     from . import core
     from .errors import UnboundedError
 
-    picked = [mode for mode in _ALPHA_MODES if any(getattr(args, f) is not None for f in mode[0])]
-    if len(picked) != 1:
-        raise _UsageError(
-            "alpha needs exactly one estimation mode: --efficiency/--cores, "
-            "--speedup/--cores, --e1/--k1/--e2/--k2, or --t1/--k1/--t2/--k2"
-        )
-    _, flags, estimator, missing = picked[0]
-    values = [getattr(args, f) for f in flags]
-    if None in values:
-        raise _UsageError(missing)
+    estimator, values = _flag_group(args, _ALPHA_MODES, (
+        "alpha needs exactly one estimation mode: --efficiency/--cores, "
+        "--speedup/--cores, --e1/--k1/--e2/--k2, or --t1/--k1/--t2/--k2"))
     estimate = getattr(core, estimator)(*values)
 
     try:
@@ -354,8 +365,6 @@ def _cmd_timeline(args: argparse.Namespace, output: _Output) -> None:
         + ", ".join(f"{key} {output.cell(value)}" for key, value in zip(fit._fields, fit))
     ]
     output.table(_COLUMNS, rows, comments=fit_lines)
-    if output.is_table:
-        output.out.writelines(f"\n{line}\n" for line in fit_lines)
 
 
 @_command(
@@ -371,12 +380,20 @@ def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
     output.table(YearlyEfficiency._fields, yearly_mean_efficiency(records, args.top))
 
 
+# The two ways `amdahl project` takes its base point.
+_PROJECT_MODES = {
+    "record": (("input", "name"), ("input", "name"), "--input and --name go together"),
+    "explicit": (("one_minus_alpha", "cores", "rpeak"), ("one_minus_alpha", "cores", "rpeak"),
+                 "explicit mode needs all of --one-minus-alpha --cores --rpeak"),
+}
+
+
 @_command(
     "project",
     "efficiency and payload performance along a peak-performance sweep",
     _arg("--input", help="record CSV to take the base machine from"),
     _arg("--name", help="machine name inside --input"),
-    _arg("--one-minus-alpha", type=float, help="explicit serial fraction"),
+    _arg("--one-minus-alpha", type=_number, help="explicit serial fraction"),
     _arg("--cores", type=_positive_int, help="explicit base core count"),
     _arg("--rpeak", type=_performance, help="explicit base peak, Gflop/s or suffixed"),
     _arg("--rpeak-from", required=True, type=_performance, help="grid start"),
@@ -386,17 +403,9 @@ def _cmd_mean_efficiency(args: argparse.Namespace, output: _Output) -> None:
 def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     from .projection import geometric_grid, project_curve
 
-    from_file = args.input is not None or args.name is not None
-    explicit = (
-        args.one_minus_alpha is not None or args.cores is not None or args.rpeak is not None
-    )
-    if from_file == explicit:
-        raise _UsageError(
-            "project takes either --input/--name or --one-minus-alpha/--cores/--rpeak"
-        )
-    if from_file:
-        if args.input is None or args.name is None:
-            raise _UsageError("--input and --name go together")
+    mode, values = _flag_group(args, _PROJECT_MODES, "project takes either --input/--name or "
+                               "--one-minus-alpha/--cores/--rpeak")
+    if mode == "record":
         from .dataset import derive, read_records
 
         matches = [r for r in read_records(args.input) if r.name == args.name]
@@ -412,10 +421,7 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
         one_minus_alpha = derive(record).one_minus_alpha_eff
         base_note = f"base: name={record.name} cores={base_cores} rpeak_gflops={base_rpeak!r}"
     else:
-        if None in (args.one_minus_alpha, args.cores, args.rpeak):
-            raise _UsageError("explicit mode needs all of --one-minus-alpha --cores --rpeak")
-        base_cores, base_rpeak = args.cores, args.rpeak
-        one_minus_alpha = args.one_minus_alpha
+        one_minus_alpha, base_cores, base_rpeak = values
         base_note = f"base: cores={base_cores} rpeak_gflops={base_rpeak!r}"
 
     grid = geometric_grid(args.rpeak_from, args.rpeak_to, args.points)
@@ -423,7 +429,6 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
     title = f"{base_note}  one_minus_alpha={output.cell(one_minus_alpha)}"
     if output.is_table:  # a count above 2**53 came from a double and equals it: print it as one
         rows = [(rp, float(k) if k > 2**53 else k, e, rmax) for rp, k, e, rmax in rows]
-        output.out.write(output.one_line(title) + "\n")
     output.table(
         ("rpeak_gflops", "cores", "efficiency", "rmax_gflops"),
         rows,
@@ -434,7 +439,7 @@ def _cmd_project(args: argparse.Namespace, output: _Output) -> None:
 @_command(
     "whatif",
     "rescale a measured machine to a new size, optionally degrading the code",
-    _arg("--efficiency", required=True, type=float, help="measured base efficiency"),
+    _arg("--efficiency", required=True, type=_number, help="measured base efficiency"),
     _arg("--cores", required=True, type=_positive_int, help="base core count"),
     _arg("--new-cores", required=True, type=_positive_int, help="target core count"),
     _arg("--rpeak", required=True, type=_performance, help="target peak"),
@@ -476,7 +481,7 @@ def _cmd_whatif(args: argparse.Namespace, output: _Output) -> None:
 @_command(
     "required-alpha",
     "serial fraction needed to hold an efficiency at a core count",
-    _arg("--efficiency", required=True, type=float),
+    _arg("--efficiency", required=True, type=_number),
     _arg("--cores", required=True, type=_positive_int),
 )
 def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
@@ -495,8 +500,8 @@ def _cmd_required_alpha(args: argparse.Namespace, output: _Output) -> None:
 @_command(
     "bounds",
     "absolute limits implied by a budget of inherently serial cycles",
-    _arg("--clock-hz", required=True, type=float),
-    _arg("--runtime-s", required=True, type=float),
+    _arg("--clock-hz", required=True, type=_number),
+    _arg("--runtime-s", required=True, type=_number),
     _arg("--hw-cycles", type=_nonnegative_float, default=0.0),
     _arg("--os-cycles", type=_nonnegative_float, default=0.0),
     _arg("--sw-cycles", type=_nonnegative_float, default=0.0),
@@ -541,7 +546,7 @@ def _cmd_bounds(args: argparse.Namespace, output: _Output) -> None:
     "saturation",
     "payload-performance ceiling of unbounded growth",
     _arg("--per-proc-flops", required=True, type=_performance),
-    _arg("--one-minus-alpha", required=True, type=float),
+    _arg("--one-minus-alpha", required=True, type=_number),
 )
 def _cmd_saturation(args: argparse.Namespace, output: _Output) -> None:
     from .projection import saturation_rmax

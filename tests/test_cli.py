@@ -472,8 +472,8 @@ class TestTimeline:
         assert code == 0
         (comment,) = [line[2:] for line in out.splitlines()[1:] if line.startswith("# ")]
         prefix = "fit of log10(one_minus_alpha_eff) on year: "
-        table_line = table.splitlines()[-1]
-        assert table.endswith("\n\n" + table_line + "\n")
+        table_line = table.splitlines()[0]
+        assert table.startswith(table_line + "\nyear  rank  ")
         assert table_line.startswith(prefix) and comment.startswith(prefix)
         shown = dict(item.split(" ") for item in table_line[len(prefix):].split(", "))
         exact = dict(item.split(" ") for item in comment[len(prefix):].split(", "))
@@ -1058,6 +1058,77 @@ class TestCsvComments:
         assert parse_records(io.StringIO(out)) == select_champions(
             read_records(str(path)), "best-rmax"
         )
+
+
+class TestNotes:
+    """A table prints its notes above its header; csv prints the same text in "#" lines."""
+
+    NUMBER = re.compile(r"([-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?)")
+    THREE_YEARS = (
+        "year,rank,name,arch,cores,rmax_gflops,rpeak_gflops,benchmark\n"
+        "1993,1,Old Machine,MPP,1024,59.7,131.0,HPL\n"
+        "2005,1,Mid Machine,MPP,131072,280600,367000,HPL\n"
+        "2017,1,New Machine,MPP,10649600,92750000,125000000,HPL\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (("project", "--input", HPL, "--name", "Sunway TaihuLight",
+              "--rpeak-from", "0.125E", "--rpeak-to", "1E", "--points", "4"),
+             "base: name=Sunway TaihuLight cores=10649600 rpeak_gflops=125000000.0  "),
+            (("project", "--one-minus-alpha", "3.2653236e-08", "--cores", "10649600",
+              "--rpeak", "125P", "--rpeak-from", "0.125E", "--rpeak-to", "1E", "--points", "4"),
+             "base: cores=10649600 rpeak_gflops=125000000.0  "),
+            (("timeline", "--input", "three_years.csv", "--select", "best-alpha"),
+             "fit of log10(one_minus_alpha_eff) on year: "),
+            (("sweep", "--workload", CLASSIC, "--overhead", "0,0.05", "--sequential", "0,0.1"),
+             "processors=3"),
+            (("sweep", "--workload", CLASSIC, "--processors", "6", "--overhead", "0,0.05",
+              "--sequential", "0,0.1"),
+             "processors=6"),
+        ],
+        ids=["project-record", "project-explicit", "timeline", "sweep-template", "sweep-override"],
+    )
+    def test_table_notes_are_the_csv_comments_rounded(self, capsys, monkeypatch, tmp_path,
+                                                       argv, first):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "three_years.csv").write_text(self.THREE_YEARS, encoding="utf-8")
+        code, table, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = cli(capsys, "--format", "csv", *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        exact = [line[2:] for line in lines[1:header]]
+        table_lines = table.splitlines()
+        shown = table_lines[:next(i for i, line in enumerate(table_lines)
+                                  if line.split() == lines[header].split(","))]
+        assert len(shown) == len(exact) == 1
+        assert shown[0].startswith(first) and exact[0].startswith(first)
+        # The same text, each number as given or rounded to the default 4 digits.
+        rounded, precise = self.NUMBER.split(shown[0]), self.NUMBER.split(exact[0])
+        assert rounded[::2] == precise[::2]
+        for number, value in zip(rounded[1::2], precise[1::2]):
+            assert number in (value, f"{float(value):.3e}")
+
+
+FLOAT_FLAGS = [
+    ("alpha", "--efficiency"), ("alpha", "--speedup"), ("alpha", "--e1"), ("alpha", "--e2"),
+    ("alpha", "--t1"), ("alpha", "--t2"), ("project", "--one-minus-alpha"),
+    ("whatif", "--efficiency"), ("whatif", "--alpha-scale"), ("required-alpha", "--efficiency"),
+    ("bounds", "--clock-hz"), ("bounds", "--runtime-s"), ("bounds", "--hw-cycles"),
+    ("bounds", "--os-cycles"), ("bounds", "--sw-cycles"), ("bounds", "--size-m"),
+    ("saturation", "--one-minus-alpha"),
+]
+
+
+@pytest.mark.parametrize("text", ["x", "1,5", "-2P"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
+def test_every_float_flag_says_expected_a_number(capsys, command, flag, text):
+    code, out, err = cli(capsys, command, flag, text)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: expected a number, got {text!r}\n")
 
 
 class TestHarness:

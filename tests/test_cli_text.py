@@ -49,8 +49,9 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --format {table,csv}
+  --format {table,csv}  output format (default: table)
   --precision PRECISION
+                        significant digits for table output (default: 4)
 """,
     ("alpha",): """\
 usage: amdahl alpha [-h] [--format {table,csv}] [--precision PRECISION]
