@@ -232,7 +232,8 @@ def _flag_group(args: argparse.Namespace, groups: dict, message: str) -> tuple[s
     """The name of the one group of flags args uses, and the values of its flags in order.
 
     ``groups`` maps a name to the flags that select the group, the flags it needs and
-    the message for a missing one. Selecting no group or more than one is ``message``.
+    the message for a missing one. Selecting no group or more than one is ``message``;
+    a flag that another group needs and the picked one does not is an error too.
     """
     picked = [name for name, (select, _, _) in groups.items()
               if any(getattr(args, f) is not None for f in select)]
@@ -242,6 +243,11 @@ def _flag_group(args: argparse.Namespace, groups: dict, message: str) -> tuple[s
     values = [getattr(args, f) for f in flags]
     if None in values:
         raise _UsageError(missing)
+    unused = dict.fromkeys(f for _, needs, _ in groups.values() for f in needs
+                           if f not in flags and getattr(args, f) is not None)
+    if unused:
+        names = lambda fs: "/".join("--" + f.replace("_", "-") for f in fs)
+        raise _UsageError(f"{names(flags)} does not take {names(unused)}")
     return picked[0], values
 
 

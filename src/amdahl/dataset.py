@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from collections import namedtuple
 from enum import Enum
 from importlib import resources
@@ -26,6 +25,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _HOMES
 from .core import (
+    _FLOAT_MAX,
     Efficiency,
     _Checked,
     _comment_lines,
@@ -89,13 +89,22 @@ class MachineRecord(
         cls, year: int, rank: int, name: str, arch: Architecture, cores: int, rmax: float,
         rpeak: float, benchmark: Benchmark,
     ):
-        year = _require_count(year, "year", 1, maximum=9999)
-        rank = _require_count(rank, "rank", 1, maximum=math.inf)
-        cores = _require_count(cores, "cores", 1)
-        rmax = _require_positive(rmax, "rmax")
-        rpeak = _require_positive(rpeak, "rpeak")
-        if rmax > rpeak:
-            raise ValueError(f"rmax {rmax!r} exceeds rpeak {rpeak!r}, which would be superlinear")
+        # Exact ints and floats inside the bounds, as _parse_row passes them, are
+        # stored as they are; anything else goes through the guards, which convert
+        # it or raise.
+        if not (
+            type(year) is int and type(rank) is int and type(cores) is int
+            and type(rmax) is float and type(rpeak) is float
+            and 1 <= year <= 9999 and rank >= 1 and 1 <= cores <= _FLOAT_MAX
+            and 0.0 < rmax <= rpeak <= _FLOAT_MAX
+        ):
+            year = _require_count(year, "year", 1, maximum=9999)
+            rank = _require_count(rank, "rank", 1, maximum=math.inf)
+            cores = _require_count(cores, "cores", 1)
+            rmax = _require_positive(rmax, "rmax")
+            rpeak = _require_positive(rpeak, "rpeak")
+            if rmax > rpeak:
+                raise ValueError(f"rmax {rmax!r} exceeds rpeak {rpeak!r}, which would be superlinear")
         return tuple.__new__(cls, (year, rank, name, arch, cores, rmax, rpeak, benchmark))
 
 
@@ -205,8 +214,9 @@ def write_records(
     stream.write(_csv_line(_COLUMNS if derived else _HEADER))
     write = stream.write
     for r in records:
-        line = (f"{r.year},{r.rank},{_csv_field(r.name)},{r.arch.value},{r.cores},{r.rmax!r},"
-                f"{r.rpeak!r},{r.benchmark.value}")
+        # _value_ is the enum's stored text; .value reads it through a slower property.
+        line = (f"{r.year},{r.rank},{_csv_field(r.name)},{r.arch._value_},{r.cores},{r.rmax!r},"
+                f"{r.rpeak!r},{r.benchmark._value_}")
         if derived:
             value, one_minus = _derived_pair(r)
             line = f"{line},{value!r},{one_minus!r}"
@@ -314,8 +324,8 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     if spread == 0.0:
         raise DegenerateDataError("all x values are identical, the slope is undefined")
     us = [(x - x0) / spread for x in xs]
-    u_mean = statistics.fmean(us)
-    y_mean = statistics.fmean(ys)
+    u_mean = math.fsum(us) / n
+    y_mean = math.fsum(ys) / n
     sxx = sum((u - u_mean) ** 2 for u in us)
     sxy = sum((u - u_mean) * (y - y_mean) for u, y in zip(us, ys))
     slope_u = sxy / sxx  # per unit of spread
@@ -345,7 +355,8 @@ def yearly_mean_efficiency(
     Within a year, records are ordered by list rank, then name, and the first
     ``top_n`` enter the statistics (all of them when the year has fewer). The
     standard deviation is the population form: these are the complete top-N
-    cohorts, not samples from something larger.
+    cohorts, not samples from something larger. It is correctly rounded (see
+    ``_pstdev``); the mean is the correctly rounded sum divided by the count.
     """
     top_n = _require_count(top_n, "top_n", 1, maximum=math.inf)
     rows = []
@@ -354,11 +365,34 @@ def yearly_mean_efficiency(
         rows.append(
             YearlyEfficiency(
                 year=cohort[0].year,
-                mean_efficiency=statistics.fmean(efficiencies),
-                sd_efficiency=statistics.pstdev(efficiencies),
+                mean_efficiency=math.fsum(efficiencies) / len(efficiencies),
+                sd_efficiency=_pstdev(efficiencies),
             )
         )
     return rows
+
+
+def _pstdev(xs: list[float]) -> float:
+    """Population standard deviation of floats in [0, 1], correctly rounded.
+
+    Each x is n / d exactly, d a power of two. Over the largest d, D, the numerators
+    N are ints and the variance is (k * sum(N*N) - sum(N)**2) / (k*k * D*D). Its root
+    is taken to 109 bits (2 * 53 + 3) with math.isqrt and rounded to odd (Boldo and
+    Melquiond), so that one int division rounds it to the nearest float: the float
+    statistics.pstdev returns on Python 3.11, without its Fractions.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    big = max(d for _, d in ratios)
+    ns = [n * (big // d) for n, d in ratios]
+    k = len(ns)
+    total = sum(ns)
+    num = k * sum([n * n for n in ns]) - total * total
+    den = k * k * big * big
+    # The variance is at most 1/4, so its root is scaled up by 2**shift, shift > 0.
+    shift = -((num.bit_length() - den.bit_length() - 109) // 2)
+    num <<= 2 * shift
+    root = math.isqrt(num // den)
+    return (root | (root * root * den != num)) / (1 << shift)
 
 
 def fixture_path(name: str) -> str:

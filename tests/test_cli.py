@@ -150,6 +150,25 @@ class TestAlpha:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--efficiency", "0.5", "--cores", "8", "--k1", "3", "--k2", "9"),
+             "--efficiency/--cores does not take --k1/--k2"),
+            (("--speedup", "2", "--cores", "8", "--k2", "9"),
+             "--speedup/--cores does not take --k2"),
+            (("--e1", "0.5", "--k1", "2", "--e2", "0.4", "--k2", "4", "--cores", "8"),
+             "--e1/--k1/--e2/--k2 does not take --cores"),
+            (("--t1", "2", "--k1", "2", "--t2", "1", "--k2", "4", "--cores", "8"),
+             "--t1/--k1/--t2/--k2 does not take --cores"),
+        ],
+        ids=["efficiency-with-k", "speedup-with-k2", "two-point-with-cores",
+             "two-timings-with-cores"],
+    )
+    def test_a_flag_the_mode_does_not_use_is_a_usage_error(self, capsys, argv, message):
+        # The one-point modes used to ignore --k1/--k2, and the two-point modes --cores.
+        assert cli(capsys, "alpha", *argv) == (1, "", f"error: {message}\n")
+
     def test_speedup_limit_beyond_the_float_range_exits_2(self, capsys):
         code, out, err = cli(
             capsys, "alpha", "--e1", "1", "--k1", "1",
@@ -653,6 +672,18 @@ class TestProject:
             "--rpeak-from", "1", "--rpeak-to", "2", "--points", "2",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("base", [
+        ("--input", HPL, "--name", "Titan", "--cores", "5"),
+        ("--one-minus-alpha", "0.1", "--cores", "4", "--rpeak", "1", "--name", "Titan"),
+    ])
+    def test_a_flag_of_the_other_mode_keeps_the_mode_message(self, capsys, base):
+        # Every flag a project mode needs also selects it, so mixing is two modes.
+        code, out, err = cli(capsys, "project", *base, "--rpeak-from", "1", "--rpeak-to", "2",
+                             "--points", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: project takes either --input/--name or "
+                       "--one-minus-alpha/--cores/--rpeak\n")
 
     def test_title_line_escapes_a_line_break_in_the_name(self, capsys, tmp_path):
         # The title printed the raw name, so a line break split it in two.

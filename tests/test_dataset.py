@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import statistics
 import sys
 from types import SimpleNamespace
 
@@ -36,7 +38,7 @@ from amdahl.dataset import (
     write_records,
     yearly_mean_efficiency,
 )
-from amdahl.dataset import _COLUMNS, _HEADER, _derived_pair, _parse_row
+from amdahl.dataset import _COLUMNS, _HEADER, _derived_pair, _parse_row, _pstdev
 from amdahl.errors import (
     DegenerateCoresError,
     DegenerateDataError,
@@ -791,6 +793,141 @@ class TestYearlyEfficiency:
         assert stats.year == 2016
         assert stats.mean_efficiency == pytest.approx(0.757, abs=1e-12)
         assert stats.sd_efficiency == pytest.approx(0.117, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, top_n, expected",
+        [
+            ("early_linpack_1992.csv", 3, (1992, 0.8233333333333333, 0.09568466729604885)),
+            ("early_linpack_1992.csv", 500, (1992, 0.614, 0.33215056826686296)),
+            ("top500_2017_hpl.csv", 3, (2017, 0.7108347409609773, 0.06758623120761925)),
+            ("top500_2017_hpl.csv", 500, (2017, 0.7197504222882932, 0.13323065674834927)),
+            ("top500_2017_hpcg.csv", 3, (2017, 0.030666666666666665, 0.017249798710580813)),
+            ("top500_2017_hpcg.csv", 500, (2017, 0.01877777777777778, 0.013595569358171047)),
+            ("top25_2016_hpl.csv", 3, (2016, 0.87641262496068, 0.0)),
+            ("top25_2016_hpl.csv", 500, (2016, 0.757, 0.11700000000000002)),
+        ],
+    )
+    def test_bundled_files_give_the_statistics_module_floats(self, name, top_n, expected):
+        # The floats statistics.fmean and statistics.pstdev gave on Python 3.11.
+        (stats,) = yearly_mean_efficiency(read_records(fixture_path(name)), top_n=top_n)
+        assert tuple(stats) == expected
+
+
+# Efficiencies as a cohort holds them: floats in [0, 1], subnormals and 0.0 among them.
+unit_floats = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0]
+)
+
+
+@st.composite
+def cohorts(draw):
+    values = draw(st.lists(unit_floats, min_size=1, max_size=600))
+    if draw(st.booleans()):  # few distinct values, each repeated
+        values = draw(st.lists(st.sampled_from(values[:4]), min_size=1, max_size=600))
+    return values
+
+
+class TestPstdev:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev is correctly rounded from Python 3.11")
+    @given(cohorts())
+    @example([5e-324])
+    @example([0.0, 5e-324])
+    @example([5e-324, 1.0])
+    @example([0.1] * 600)
+    @example([0.0, 1.0] * 300)
+    def test_equals_statistics_pstdev(self, values):
+        assert _pstdev(values).hex() == statistics.pstdev(values).hex()
+
+    def test_exact_where_the_root_is_exact(self):
+        assert _pstdev([0.25]) == 0.0
+        assert _pstdev([0.0, 1.0]) == 0.5
+        assert _pstdev([0.5, 0.5, 0.75, 0.75]) == 0.125
+        assert _pstdev([0.0, 2.0**-1074]) == 0.0  # 2**-1075 ties to the even 0
+
+
+class Int(int):
+    pass
+
+
+class Float(float):
+    pass
+
+
+def record_outcome(year, rank, cores, rmax, rpeak):
+    """The record with the types of its fields, or the error's type and message.
+
+    A numpy value is named in a message by its repr, np.float64(x); the message is
+    compared with the value shown as x.
+    """
+    try:
+        r = MachineRecord(year, rank, "x", Architecture.MPP, cores, rmax, rpeak, Benchmark.HPL)
+    except ValueError as exc:
+        return type(exc), re.sub(r"np\.(?:int|float)64\((.*?)\)", r"\1", str(exc))
+    return r, [type(field) for field in r]
+
+
+def as_subclasses(year, rank, cores, rmax, rpeak):
+    return Int(year), Int(rank), Int(cores), Float(rmax), Float(rpeak)
+
+
+def as_numpy(year, rank, cores, rmax, rpeak):
+    def np_int(v):
+        return np.int64(v) if -(2**63) <= v < 2**63 else v
+    return np_int(year), np_int(rank), np_int(cores), np.float64(rmax), np.float64(rpeak)
+
+
+MAX = sys.float_info.max
+
+
+class TestRecordAcceptPath:
+    """Exact ints and floats in range skip the guards; the guards must agree with them."""
+
+    @pytest.mark.parametrize("convert", [as_subclasses, as_numpy], ids=["subclass", "numpy"])
+    @pytest.mark.parametrize(
+        "year, rank, cores, rmax, rpeak",
+        [
+            (2017, 1, 4, 1.0, 2.0),
+            (0, 1, 4, 1.0, 2.0),
+            (1, 1, 4, 1.0, 2.0),
+            (9999, 1, 4, 1.0, 2.0),
+            (10000, 1, 4, 1.0, 2.0),
+            (2017, 0, 4, 1.0, 2.0),
+            (2017, 2**70, 4, 1.0, 2.0),
+            (2017, 1, 0, 1.0, 2.0),
+            (2017, 1, 1, 1.0, 2.0),
+            (2017, 1, 2**1024, 1.0, 2.0),
+            (2017, 1, 4, 0.0, 2.0),
+            (2017, 1, 4, -0.0, 2.0),
+            (2017, 1, 4, 5e-324, 2.0),
+            (2017, 1, 4, 5e-324, 5e-324),
+            (2017, 1, 4, 1.0, MAX),
+            (2017, 1, 4, MAX, MAX),
+            (2017, 1, 4, 1.0, math.inf),
+            (2017, 1, 4, math.inf, math.inf),
+            (2017, 1, 4, math.nan, 2.0),
+            (2017, 1, 4, 1.0, math.nan),
+            (2017, 1, 4, 2.0, 1.0),
+            (2017, 1, 4, 1.0, 0.0),
+            (2017, 1, 4, 1.0, -0.0),
+        ],
+    )
+    def test_boundaries_match_the_guard_path(self, convert, year, rank, cores, rmax, rpeak):
+        exact = record_outcome(year, rank, cores, rmax, rpeak)
+        assert record_outcome(*convert(year, rank, cores, rmax, rpeak)) == exact
+
+    @given(
+        st.integers(-2, 10**4 + 2), st.integers(-2, 2**70), st.integers(-2, 2**1030),
+        st.floats(), st.floats(),
+    )
+    def test_random_values_match_the_guard_path(self, year, rank, cores, rmax, rpeak):
+        exact = record_outcome(year, rank, cores, rmax, rpeak)
+        assert record_outcome(*as_subclasses(year, rank, cores, rmax, rpeak)) == exact
+
+    @pytest.mark.parametrize("field", ["year", "rank", "cores"])
+    def test_bool_fields_are_rejected(self, field):
+        fields = {**dict(year=2017, rank=1, cores=4, rmax=1.0, rpeak=2.0), field: True}
+        assert record_outcome(**fields) == (ValueError, f"{field} must be an integer, got True")
 
 
 class TestFixtures:

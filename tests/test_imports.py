@@ -175,6 +175,22 @@ class TestSubcommandImports:
         assert code == "0"
         assert not {"dataclasses", "inspect"} & set(loaded)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("timeline", "--input", HPL, "--select", "best-alpha"),
+            ("mean-efficiency", "--input", HPL, "--top", "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_reading_records_loads_no_statistics(self, argv):
+        # The mean, the trend fit and the standard deviation are computed with math
+        # and exact ints, so no call pays to import statistics, fractions and decimal.
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert "amdahl.dataset" in loaded
+        assert not {"statistics", "fractions", "decimal"} & set(loaded)
+
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_only_csv_output_loads_shlex_and_writing_loads_no_csv(self, fmt):
         # csv is loaded only to read records; output is quoted by core._csv_field.
