@@ -200,6 +200,18 @@ def _shown(x: object) -> str:
     return repr(x)
 
 
+def _shown_number(x: object) -> str:
+    """x as the value guards name it: a float or an integer type by the plain number it reads as.
+
+    So np.float64(0.0) shows as 0.0 and np.int64(0) as 0, as a float and an int do;
+    anything else, a bool included, shows as _shown shows it.
+    """
+    if isinstance(x, float):
+        return float.__repr__(x)
+    integer = _integer(x)
+    return _shown(x if integer is None else integer)
+
+
 def _comment_lines(text: str) -> str:
     """Text as csv comment lines: "# " before every line, so a line break cannot end the comment."""
     return "".join(f"# {line}\n" for line in text.splitlines())
@@ -226,25 +238,25 @@ def _csv_line(fields: Iterable[object]) -> str:
 
 
 # The guards take any object and return the float they compared; a float skips
-# the call to _finite.
+# the call to _finite. A message names a number as _shown_number shows it.
 def _require_fraction(one_minus_alpha: object, name: str = "one_minus_alpha") -> float:
     number = one_minus_alpha if type(one_minus_alpha) is float else _finite(one_minus_alpha)
     if number is None or not 0.0 <= number <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {_shown(one_minus_alpha)}")
+        raise ValueError(f"{name} must lie in [0, 1], got {_shown_number(one_minus_alpha)}")
     return number
 
 
 def _require_positive(value: object, name: str) -> float:
     number = value if type(value) is float else _finite(value)
     if number is None or not 0.0 < number <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be finite and > 0, got {_shown(value)}")
+        raise ValueError(f"{name} must be finite and > 0, got {_shown_number(value)}")
     return number
 
 
 def _require_nonnegative(value: object, name: str) -> float:
     number = value if type(value) is float else _finite(value)
     if number is None or not 0.0 <= number <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be finite and >= 0, got {_shown(value)}")
+        raise ValueError(f"{name} must be finite and >= 0, got {_shown_number(value)}")
     return number
 
 
@@ -256,27 +268,49 @@ def _snap_to_unit(x: float) -> float:
 
 
 # The kernels: one per formula that a loop shares with its public function,
-# numbers in and a number out, with no checks. Each is the one place its expression
+# numbers in and numbers out, with no checks. Each is the one place its expression
 # is evaluated. The public functions below check their inputs and then call the
-# kernel; the hot loops (sweep grid points, record derivation, curve projection)
+# kernel; the hot loops (sweep grid rows, record derivation, curve projection)
 # call the kernels on values that a value type or an earlier check has already
-# validated.
-def _from_speedup(s: float, k: int) -> float:
-    """1 - alpha of speedup s on k processors, for 2 <= k and 1 <= s <= k.
+# validated. _from_speedups takes a whole list, so a sweep row pays one call and
+# its points none: up to k = 94,906,266 each point is one inline expression.
+def _from_speedups(speedups: Iterable[float], k: int) -> list[float | None]:
+    """1 - alpha of each finite speedup on k >= 2 processors, in order.
 
-    A float cannot hold every count above 2**53, so where (k - 1) * s reaches
-    2**53 it takes k - s in parts: the int difference of the integer parts, less
-    the fractional part of s. Below 2**53 both forms round k - s once, to the
-    same float. Where (k - 1) * s passes the float range it divides twice, since
-    the overflowed product would turn the result into 0.
+    A speedup below 1 gives None: no parallel fraction in [0, 1] reproduces
+    it. One above k reads as k, since summation rounding can leave a simulated
+    speedup a few ulp above k, and a schedule never beats k processors.
+
+    Where (k - 1) * k < 2**53, k and k - 1 are exact floats, so with
+    1 <= s <= k the quotient (k - s) / ((k - 1) * s) is evaluated inline:
+    k - s <= (k - 1) * s, and rounding is monotone, so both roundings keep that
+    order and the quotient already lies in [0, 1], with no snap to 1 to apply.
+
+    Above that bound a float cannot hold every count, so where (k - 1) * s
+    reaches 2**53 it takes k - s in parts: the int difference of the integer
+    parts, less the fractional part of s. Below 2**53 both forms round k - s
+    once, to the same float. Where (k - 1) * s passes the float range it divides
+    twice, since the overflowed product would turn the result into 0.
     """
-    denom = (k - 1) * s
-    if denom < 2.0**53:  # so k <= 2**53
-        return _snap_to_unit((k - s) / denom)
-    numer = (k - int(s)) - (s - int(s))
-    if denom > _FLOAT_MAX:
-        return _snap_to_unit(numer / (k - 1) / s)
-    return _snap_to_unit(numer / denom)
+    top = float(k)
+    if (k - 1) * k < 2**53:
+        below = float(k - 1)
+        return [None if s < 1.0 else 0.0 if s >= top else (top - s) / (below * s)
+                for s in speedups]
+    fractions: list[float | None] = []
+    for s in speedups:
+        if s < 1.0:
+            fractions.append(None)
+            continue
+        s = top if top < s else s
+        denom = (k - 1) * s
+        if denom < 2.0**53:  # so k <= 2**53
+            x = (k - s) / denom
+        else:
+            numer = (k - int(s)) - (s - int(s))
+            x = numer / (k - 1) / s if denom > _FLOAT_MAX else numer / denom
+        fractions.append(_snap_to_unit(x))
+    return fractions
 
 
 def _from_inverse_excess(ie: float, k: int) -> float:
@@ -339,7 +373,8 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
         )
     if s < 1.0:
         raise ValueError(f"speedup below 1 is a slowdown the model cannot express: {s!r}")
-    return AlphaEstimate(_from_speedup(s, cores), EstimationMethod.FROM_SPEEDUP, cores)
+    [one_minus] = _from_speedups([s], cores)
+    return AlphaEstimate(one_minus, EstimationMethod.FROM_SPEEDUP, cores)
 
 
 def alpha_eff_from_efficiency(efficiency: float | Efficiency, cores: int) -> AlphaEstimate:

@@ -12,15 +12,21 @@ Chunks may outnumber processors; the greedy placement (Graham's list
 scheduling) then packs them into multiple rounds. One routine, ``_place``,
 does that placement for every parallel phase: a heap of (free time, index)
 pairs over min(k, n) processors finds each of n chunks its processor, so a
-phase costs O(n log min(k, n)) placement plus one timeline segment per chunk.
-Waiting time is never an input: it emerges wherever a processor has nothing
-to do. A run keeps busy and idle times only for the processors that can run,
-so ``simulate`` takes any processor count a ``WorkloadSpec`` takes.
+phase costs O(n log min(k, n)) placement. The first round, one chunk per
+processor from the phase start, skips the heap whenever each of its chunks
+moves the clock. ``simulate`` then adds each chunk's timeline segment, busy
+time and serial work in one loop. Chunks that are exact floats, all > 0 with
+a finite sum, pass ``WorkloadSpec``'s check with no call per chunk. Waiting
+time is never an input: it emerges wherever a processor has nothing to do. A
+run keeps busy and idle times only for the processors that can run, so
+``simulate`` takes any processor count a ``WorkloadSpec`` takes.
 
 ``sweep_alpha_eff`` places its template's chunks once and then evaluates the
 grid one overhead row at a time: a grid point costs O(1), and each row is
-computed in one pass. Its overflow check runs once per row, on the sweep's
-longest sequential time, and still names the first overflowing point.
+computed in one pass of C-level maps into one call of the speedup kernel
+``core._from_speedups``, with no Python call per point. Its overflow check
+runs once per row, on the sweep's longest sequential time, and still names
+the first overflowing point.
 
 Busy and serial time are summed in input order, one addition at a time: each
 processor's busy time adds its durations, overheads and chunks as they run,
@@ -41,6 +47,8 @@ import json
 import math
 import sys
 from collections import namedtuple
+from itertools import count, islice, repeat
+from operator import truediv
 from typing import IO, Iterable, NamedTuple, Union
 
 from . import _HOMES
@@ -49,7 +57,7 @@ from .core import (
     EstimationMethod,
     Speedup,
     _Checked,
-    _from_speedup,
+    _from_speedups,
     _require_count,
     _require_nonnegative,
     _require_positive,
@@ -96,18 +104,26 @@ def _checked_phase(phase: Phase, index: int) -> Phase:
             return SequentialPhase(_require_positive(phase.duration, "sequential duration"))
         if isinstance(phase, ParallelPhase):
             chunks = phase.chunks
-            try:  # any iterable, a numpy array included, which has no single truth value
-                chunks = () if chunks is None else iter(chunks)
-            except TypeError:
-                raise ValueError(f"chunks must be an iterable of numbers, got {_shown(chunks)}")
-            chunks = tuple(chunks)  # read once: the chunks may be an iterator
+            if type(chunks) is not tuple:
+                try:  # any iterable, a numpy array included, which has no single truth value
+                    chunks = () if chunks is None else iter(chunks)
+                except TypeError:
+                    raise ValueError(
+                        f"chunks must be an iterable of numbers, got {_shown(chunks)}")
+                chunks = tuple(chunks)  # read once: the chunks may be an iterator
             if not chunks:
                 raise ValueError("a parallel phase needs at least one chunk")
-            try:
-                checked = tuple([_require_positive(c, "chunk") for c in chunks])
-            except ValueError:  # check again, naming each chunk, to report the first bad one
-                for j, c in enumerate(chunks, 1):
-                    _require_positive(c, f"chunk {j}")
+            # Exact floats, all > 0 (a nan first fails min), with a finite sum (a
+            # nan or inf anywhere makes it nan or inf) are what the guard returns.
+            if (set(map(type, chunks)) == {float} and min(chunks) > 0.0
+                    and math.isfinite(sum(chunks))):
+                checked = chunks
+            else:
+                try:
+                    checked = tuple([_require_positive(c, "chunk") for c in chunks])
+                except ValueError:  # check again, naming each chunk, to report the first bad one
+                    for j, c in enumerate(chunks, 1):
+                        _require_positive(c, f"chunk {j}")
             return ParallelPhase(
                 checked,
                 _require_nonnegative(phase.dispatch_overhead, "dispatch overhead"),
@@ -183,9 +199,8 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
             step(phase.dispatch_overhead, f"dispatch{index}")
         placed, clock = _place(phase.chunks, k, clock)
         prefix = f"chunk{index}."
-        timeline += [tuple.__new__(TimelineSegment, (p, start, end, f"{prefix}{j}"))
-                     for j, (p, start, end) in enumerate(placed, 1)]
-        for (p, _, _), chunk in zip(placed, phase.chunks):
+        for j, (p, start, end), chunk in zip(count(1), placed, phase.chunks):
+            timeline.append(tuple.__new__(TimelineSegment, (p, start, end, f"{prefix}{j}")))
             busy[p] += chunk
             serial_chunks += chunk
         if phase.collect_overhead > 0.0:
@@ -195,7 +210,7 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
     parallel_time = clock
     _require_finite_times(serial_time, parallel_time)
     speedup = Speedup(serial_time / parallel_time)
-    [one_minus] = _simulated_fractions([speedup.value], k)
+    [one_minus] = [None] if k < 2 else _from_speedups([speedup.value], k)
 
     idle = tuple([max(0.0, parallel_time - b) for b in busy])
     return ScheduleResult(
@@ -216,14 +231,30 @@ def _place(chunks: tuple[float, ...], k: int, clock: float) -> tuple[list, float
 
     Each chunk in turn goes to the processor that frees up first, ties to the
     lowest index. Returns each chunk's (processor, start, end) and the phase's
-    end, the largest end. The heap holds only the first min(k, n) processors
-    for n chunks, which is exact: a processor with index >= n is chosen only
-    when all n lower ones are busy past the phase start, and that takes n
-    chunks already placed.
+    end, the largest end. Only the first m = min(k, n) processors for n chunks
+    take part, which is exact: a processor with index >= n is chosen only when
+    all n lower ones are busy past the phase start, and that takes n chunks
+    already placed.
+
+    The first round needs no heap: when every one of the first m chunks ends
+    after ``clock``, chunk j finds processors 0 to j - 2 busy and goes to
+    processor j - 1 at ``clock``; the heap of (free time, index) pairs is then
+    built once from their ends, and each later chunk costs O(log m). A chunk
+    too short to move the clock leaves its processor free at the phase start,
+    so the next chunk goes there again: the whole phase then runs on the heap.
     """
-    free = [(clock, p) for p in range(min(k, len(chunks)))]  # sorted, so already a heap
-    placed = []
-    for chunk in chunks:
+    m = min(k, len(chunks))
+    ends = [clock + chunk for chunk in islice(chunks, m)]
+    if min(ends) > clock:
+        placed = list(zip(range(m), repeat(clock), ends))
+        free = list(zip(ends, range(m)))
+        heapq.heapify(free)
+        rest = islice(chunks, m, None)
+    else:
+        placed = []
+        free = [(clock, p) for p in range(m)]  # sorted, so already a heap
+        rest = chunks
+    for chunk in rest:
         start, p = free[0]
         end = start + chunk
         placed.append((p, start, end))
@@ -241,24 +272,6 @@ def _require_finite_times(serial_time: float, parallel_time: float) -> None:
     if serial_time / parallel_time == 0.0:
         raise InvalidWorkloadError(f"workload speedup underflows to 0: serial time "
                                    f"{serial_time!r}, parallel time {parallel_time!r}")
-
-
-def _simulated_fractions(speedups: list[float], k: int) -> list[float | None]:
-    """1 - alpha_eff of each simulated speedup on k processors, in order.
-
-    The one rule for reading a simulated run back: every value is None on one
-    processor, and a value is None below S = 1, where no parallel fraction in
-    [0, 1] reproduces the run. ``simulate`` passes its one speedup, the sweep a
-    whole overhead row.
-    """
-    if k < 2:
-        return [None] * len(speedups)
-    # Summation rounding can leave S a few ulp above k; the schedule itself
-    # can never beat k processors, so clamp to min(S, k) before inverting; the
-    # conditional saves a min() call per point. The workload's checks keep S
-    # finite, so the clamped value is a valid speedup on k.
-    cap = float(k)
-    return [None if s < 1.0 else _from_speedup(cap if cap < s else s, k) for s in speedups]
 
 
 class SweepPoint(NamedTuple):
@@ -336,7 +349,7 @@ def sweep_alpha_eff(
     _require_finite_times(chunk_work, span)
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
     sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]
-    times = [(seq_time, seq_time + chunk_work) for seq_time in sequential_times]
+    serial_times = [seq_time + chunk_work for seq_time in sequential_times]
     longest = max(sequential_times, default=0.0)
 
     points: list[SweepPoint] = []
@@ -346,16 +359,17 @@ def sweep_alpha_eff(
         # Adding to a non-negative float is monotone, so the longest sequential
         # time overflows first; a nan part (inf * 0 overhead share) fails too.
         if not (math.isfinite(longest + parallel_part) and math.isfinite(longest + chunk_work)):
-            for seq, (seq_time, serial_time) in zip(sequential_ratios, times):
+            for seq, seq_time, serial_time in zip(sequential_ratios, sequential_times,
+                                                  serial_times):
                 if not (math.isfinite(seq_time + parallel_part) and math.isfinite(serial_time)):
                     raise InvalidWorkloadError(
                         f"sweep point overhead={ov!r} sequential={seq!r} overflows the time range"
                     )
-        fractions = _simulated_fractions(
-            [serial_time / (seq_time + parallel_part) for seq_time, serial_time in times],
-            processors)
-        points += [tuple.__new__(SweepPoint, (ov, seq, one_minus))
-                   for seq, one_minus in zip(sequential_ratios, fractions)]
+        # The row in C-level maps: float addition commutes, so parallel_part + t
+        # is t + parallel_part, and each point is built as a plain tuple.
+        speedups = map(truediv, serial_times, map(parallel_part.__add__, sequential_times))
+        points += map(tuple.__new__, repeat(SweepPoint),
+                      zip(repeat(ov), sequential_ratios, _from_speedups(speedups, processors)))
     return points
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amdahl.core import (
@@ -15,7 +16,7 @@ from amdahl.core import (
     Speedup,
     _efficiency,
     _from_inverse_excess,
-    _from_speedup,
+    _from_speedups,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
     alpha_from_two_efficiencies,
@@ -329,23 +330,84 @@ class TestMaxSpeedup:
         assert s <= max_speedup(one_minus_alpha) * (1.0 + 1e-12)
 
 
-def same_bits(a: float, b: float) -> bool:
-    """a and b are the same float, bit for bit (repr is the shortest round trip)."""
+def same_bits(a: float | None, b: float | None) -> bool:
+    """a and b are the same float, bit for bit (repr is the shortest round trip), or both None."""
     return type(a) is type(b) and repr(a) == repr(b)
 
 
 wide_counts = st.one_of(core_counts, st.integers(min_value=2, max_value=2**70))
 
 
-class TestKernels:
-    """Each kernel gives exactly what its public function reads on valid inputs."""
+def scalar_from_speedup(s: float, k: int) -> float:
+    """1 - alpha of one speedup s on k processors, for 2 <= k and 1 <= s <= k.
 
-    @given(wide_counts, st.data())
-    def test_from_speedup(self, cores, data):
-        # float(cores) rounds above a count past 2**53 about half the time: s stays <= cores.
-        top = float(cores) if float(cores) <= cores else math.nextafter(float(cores), 0.0)
-        s = data.draw(st.floats(min_value=1.0, max_value=top))
-        assert same_bits(_from_speedup(s, cores), alpha_eff_from_speedup(s, cores).one_minus_alpha)
+    The kernel's one-point form, written out independently of core: k - s in
+    parts where (k - 1) * s reaches 2**53, a second division where that product
+    passes the float range, and a result rounded just past 1 snapped back to 1.
+    """
+    denom = (k - 1) * s
+    if denom < 2.0**53:
+        x = (k - s) / denom
+    else:
+        numer = (k - int(s)) - (s - int(s))
+        x = numer / (k - 1) / s if denom > sys.float_info.max else numer / denom
+    return 1.0 if 1.0 < x <= 1.0 + 1e-12 else x
+
+
+def read_back(s: float, k: int) -> float | None:
+    """The read-back rule of a simulated speedup: None below 1, and above k read as k."""
+    return None if s < 1.0 else scalar_from_speedup(min(s, float(k)), k)
+
+
+# (k - 1) * k passes 2**53 between these two counts, where the inline form ends.
+INLINE_LAST = 94_906_266
+INLINE_BOUND = [INLINE_LAST - 1, INLINE_LAST, INLINE_LAST + 1, INLINE_LAST + 2]
+
+
+@st.composite
+def count_and_speedup(draw):
+    """A count from 2 to 2**70 and a speedup in [1, k]."""
+    k = draw(st.one_of(wide_counts, st.sampled_from(INLINE_BOUND)))
+    # float(k) rounds above a count past 2**53 about half the time: s stays <= k.
+    top = float(k) if float(k) <= k else math.nextafter(float(k), 0.0)
+    return k, draw(st.floats(min_value=1.0, max_value=top))
+
+
+class TestKernels:
+    """Each kernel gives exactly what an independent evaluation gives on valid inputs."""
+
+    @given(count_and_speedup())
+    @example((INLINE_LAST, 1.0))
+    @example((INLINE_LAST, 1.5))
+    @example((INLINE_LAST, float(INLINE_LAST)))
+    @example((INLINE_LAST, INLINE_LAST - 0.5))
+    @example((INLINE_LAST + 1, 1.0))
+    @example((INLINE_LAST + 1, 1.5))
+    @example((INLINE_LAST + 1, float(INLINE_LAST + 1)))
+    @example((INLINE_LAST + 1, INLINE_LAST + 0.5))
+    @example((2**53 + 3, 2.0**53))
+    @example((2**70, 2.0**70))
+    def test_from_speedups_matches_the_scalar_form(self, case):
+        k, s = case
+        [got] = _from_speedups([s], k)
+        assert same_bits(got, scalar_from_speedup(s, k))
+
+    def test_the_examples_straddle_the_inline_bound(self):
+        assert (INLINE_LAST - 1) * INLINE_LAST < 2**53 <= INLINE_LAST * (INLINE_LAST + 1)
+
+    @given(st.one_of(wide_counts, st.sampled_from(INLINE_BOUND)), st.data())
+    def test_a_row_reads_each_speedup_back(self, cores, data):
+        # Below 1, inside [1, k], and a few ulp above k, in one list.
+        ulps_above = st.integers(min_value=1, max_value=4).map(
+            lambda n: float(cores) + n * math.ulp(float(cores)))
+        speedups = data.draw(st.lists(st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.floats(min_value=1.0, max_value=float(cores)),
+            ulps_above,
+        ), max_size=20))
+        got = _from_speedups(speedups, cores)
+        expected = [read_back(s, cores) for s in speedups]
+        assert len(got) == len(expected) and all(map(same_bits, got, expected))
 
     @given(wide_counts, st.data())
     def test_from_inverse_excess(self, cores, data):

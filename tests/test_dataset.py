@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 import statistics
 import sys
 from types import SimpleNamespace
@@ -857,13 +856,13 @@ class Float(float):
 def record_outcome(year, rank, cores, rmax, rpeak):
     """The record with the types of its fields, or the error's type and message.
 
-    A numpy value is named in a message by its repr, np.float64(x); the message is
-    compared with the value shown as x.
+    A message names a numpy value by the plain number it reads as, so the messages
+    of a numpy and a plain record compare equal.
     """
     try:
         r = MachineRecord(year, rank, "x", Architecture.MPP, cores, rmax, rpeak, Benchmark.HPL)
     except ValueError as exc:
-        return type(exc), re.sub(r"np\.(?:int|float)64\((.*?)\)", r"\1", str(exc))
+        return type(exc), str(exc)
     return r, [type(field) for field in r]
 
 

@@ -201,6 +201,46 @@ def test_float_guards_read_integer_types_as_the_count_guard_does():
         _require_positive(np.float32(0.5), "x")
 
 
+class ShownFloat(float):
+    def __repr__(self):
+        return f"ShownFloat({float(self)!r})"
+
+
+class ShownInt(int):
+    def __repr__(self):
+        return f"ShownInt({int(self)!r})"
+
+
+def guard_message(guard, value) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        guard(value, "x")
+    return str(excinfo.value)
+
+
+NUMBER_TYPES = [
+    (kind, plain)
+    for kinds, plains in [((np.float64, ShownFloat), (-1.0, -0.5, math.nan, math.inf, -math.inf)),
+                          ((np.int64, ShownInt), (-1, -(2**62)))]
+    for kind in kinds for plain in plains
+]
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=[g.__name__ for g in GUARDS])
+@pytest.mark.parametrize("kind, plain", NUMBER_TYPES)
+def test_a_number_is_named_by_the_plain_number_it_reads_as(guard, kind, plain):
+    # np.float64(-1.0) is named as -1.0 and np.int64(-1) as -1, as _require_count names a count.
+    message = guard_message(guard, kind(plain))
+    assert message == guard_message(guard, plain)
+    assert message.endswith(f", got {plain!r}")
+
+
+def test_a_value_that_is_no_number_keeps_its_repr():
+    for guard in GUARDS:
+        assert guard_message(guard, True).endswith(", got True")
+        assert guard_message(guard, np.float32(-1.0)).endswith(", got np.float32(-1.0)")
+        assert guard_message(guard, "1").endswith(", got '1'")
+
+
 def test_an_int_beyond_the_float_range_is_named_by_its_bit_length():
     with pytest.raises(ValueError, match=r"^x must be finite and > 0, got a 16610-bit integer$"):
         _require_positive(10**5000, "x")

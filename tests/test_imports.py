@@ -191,6 +191,28 @@ class TestSubcommandImports:
         assert "amdahl.dataset" in loaded
         assert not {"statistics", "fractions", "decimal"} & set(loaded)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--workload", CLASSIC),
+            ("sweep", "--workload", CLASSIC, "--overhead", "0,1", "--sequential", "0,1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_simulator_calls_load_only_the_workload_layer(self, argv):
+        # Beyond what the core layer loads, a simulator call adds the workload module,
+        # the json reader and heapq, and nothing else: start-up time is measured on
+        # every call. itertools and operator are loaded at start-up already.
+        code, *core = fresh_modules(RUN_CLI, "alpha", "--efficiency", "0.5", "--cores", "8")
+        assert code == "0"
+        assert {"itertools", "operator"} <= set(fresh_modules(RUN_CLI, "--help")[1:])
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert set(loaded) - set(core) == {
+            "amdahl.workload", "heapq", "_heapq",
+            "json", "json.decoder", "json.encoder", "json.scanner", "_json",
+        }
+
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_only_csv_output_loads_shlex_and_writing_loads_no_csv(self, fmt):
         # csv is loaded only to read records; output is quoted by core._csv_field.

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from amdahl.core import AlphaEstimate, Efficiency, EstimationMethod, Speedup, alpha_eff_from_speedup
+from amdahl.core import (
+    AlphaEstimate,
+    Efficiency,
+    EstimationMethod,
+    Speedup,
+    _require_positive,
+    alpha_eff_from_speedup,
+)
 from amdahl.dataset import fixture_path
 from amdahl.workload import (
     ParallelPhase,
@@ -293,6 +300,95 @@ class TestWorkloadValidation:
             assert result.alpha_eff.cores == processors
 
 
+class Float(float):
+    pass
+
+
+def phase_outcome(chunks):
+    """The checked phase with the types of its chunks, or the error's type and message."""
+    try:
+        [phase] = WorkloadSpec(2, [ParallelPhase(chunks)]).phases
+    except InvalidWorkloadError as exc:
+        return type(exc), str(exc)
+    return phase, [type(c) for c in phase.chunks]
+
+
+def as_subclass(chunks):
+    return [Float(c) for c in chunks]
+
+
+def as_numpy(chunks):
+    return [np.float64(c) for c in chunks]
+
+
+MAX = sys.float_info.max
+NAN, INF = math.nan, math.inf
+
+
+class TestChunkAcceptPath:
+    """Exact float chunks, all > 0 with a finite sum, skip the guards; the guards must agree."""
+
+    @pytest.mark.parametrize("container", [tuple, list, iter])
+    @pytest.mark.parametrize("convert", [as_subclass, as_numpy], ids=["subclass", "numpy"])
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            (1.0, 2.0, 3.0),
+            (NAN, 1.0, 2.0), (1.0, NAN, 2.0), (1.0, 2.0, NAN),
+            (INF, 1.0, 2.0), (1.0, INF, 2.0), (1.0, 2.0, INF),
+            (-INF, 1.0), (1.0, -INF),
+            (0.0,), (1.0, 0.0), (-0.0,), (1.0, -0.0), (1.0, -1.0),
+            (5e-324,), (5e-324, 1.0), (MAX,), (5e-324, MAX),
+            (MAX, MAX), (1.0, MAX, 1e308), (MAX, MAX, NAN),
+        ],
+    )
+    def test_boundaries_match_the_guard_path(self, container, convert, chunks):
+        exact = phase_outcome(container(chunks))
+        assert phase_outcome(container(convert(chunks))) == exact
+        if not isinstance(exact[0], type):
+            assert exact[1] == [float] * len(chunks)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=12))
+    @example([MAX, MAX])
+    @example([1.0, NAN, INF])
+    def test_random_chunks_match_the_guard_path(self, chunks):
+        assert phase_outcome(tuple(chunks)) == phase_outcome(as_subclass(chunks))
+
+    @pytest.mark.parametrize("container", [tuple, list, iter])
+    def test_integer_chunks_give_exact_floats(self, container):
+        assert phase_outcome(container([1, 2.5, np.int64(3)])) == phase_outcome((1.0, 2.5, 3.0))
+        assert phase_outcome(container([2**1023, 1.0])) == phase_outcome((2.0**1023, 1.0))
+
+    @pytest.mark.parametrize(
+        "chunks, message",
+        [
+            ((1.0, 0), "phase 1: chunk 2 must be finite and > 0, got 0"),
+            ((True, 1.0), "phase 1: chunk 1 must be finite and > 0, got True"),
+            ((1.0, False), "phase 1: chunk 2 must be finite and > 0, got False"),
+            ((1.0, 2**1024), "phase 1: chunk 2 must be finite and > 0, got a 1025-bit integer"),
+            ((np.float64(1.0), np.float64(NAN)),
+             "phase 1: chunk 2 must be finite and > 0, got nan"),
+            ((Float(-1.0), 1.0), "phase 1: chunk 1 must be finite and > 0, got -1.0"),
+        ],
+    )
+    def test_other_types_get_the_guard_message(self, chunks, message):
+        for container in (tuple, list, iter):
+            assert phase_outcome(container(chunks)) == (InvalidWorkloadError, message)
+
+    def test_exact_float_chunks_call_no_guard(self, monkeypatch):
+        calls = []
+
+        def counting(value, name):
+            calls.append(name)
+            return _require_positive(value, name)
+
+        monkeypatch.setattr("amdahl.workload._require_positive", counting)
+        WorkloadSpec(2, [ParallelPhase((1.0, 2.0, 3.0)), ParallelPhase([4.0, 5.0])])
+        assert calls == []
+        WorkloadSpec(2, [ParallelPhase((1.0, 2))])
+        assert calls == ["chunk", "chunk"]
+
+
 @st.composite
 def workload_specs(draw):
     processors = draw(st.integers(min_value=1, max_value=6))
@@ -465,6 +561,15 @@ class TestHeapPlacement:
     @example(WorkloadSpec(4, (ParallelPhase(chunks=(0.5,) * 13),)))
     @example(WorkloadSpec(3, (ParallelPhase(chunks=(2.0, 1.0, 1.0, 1.0, 1.0, 2.0)),)))
     @example(WorkloadSpec(4, (SequentialPhase(1e20), ParallelPhase(chunks=(1e-5,) * 3))))
+    # The first round: only some of the first m chunks move a late clock, so the
+    # whole phase runs on the heap (1e16 + 1.0 rounds to 1e16).
+    @example(WorkloadSpec(3, (SequentialPhase(1e16), ParallelPhase(chunks=(1.0, 4.0, 1.0)))))
+    @example(WorkloadSpec(2, (SequentialPhase(1e16), ParallelPhase(chunks=(4.0, 1.0, 2.0, 1.0)))))
+    @example(WorkloadSpec(3, (SequentialPhase(1e16), ParallelPhase(chunks=(4.0, 4.0, 1.0, 2.0)))))
+    # ... and n < k, n = k and n > k chunks on an idle machine.
+    @example(WorkloadSpec(4, (ParallelPhase(chunks=(2.0, 1.0)),)))
+    @example(WorkloadSpec(3, (ParallelPhase(chunks=(3.0, 1.0, 2.0)),)))
+    @example(WorkloadSpec(2, (ParallelPhase(chunks=(3.0, 1.0, 2.0, 0.5, 1.5)),)))
     def test_matches_linear_scan_placement(self, spec):
         result = simulate(spec)
         timeline, busy, serial_time = linear_scan_schedule(spec)
@@ -605,7 +710,7 @@ def checked_points(template, processors, overheads, sequentials):
     return points
 
 
-# Counts from 2**53 - 1 up, where float(k) may round and _from_speedup takes k - S in parts.
+# Counts from 2**53 - 1 up, where float(k) may round and _from_speedups takes k - S in parts.
 huge_counts = st.sampled_from([2**53 - 1, 2**53 + 1, 10**17, sys.maxsize])
 
 
