@@ -150,17 +150,18 @@ def _require_count(
     ``fewer`` (by default "<name> must be >= <minimum>"), and so does a value that is
     no integer; a count above ``maximum`` raises ``excess``. A float outside the
     bounds is named by the bound it breaks, so inf is too many rather than no integer.
+    A message names the value as _shown_number shows it.
     """
     if type(value) is not int:
         integer = _integer(value)
         if integer is not None:
             value = integer
         elif not (isinstance(value, float) and (value < minimum or value > maximum)):
-            raise error(f"{name} must be an integer, got {_shown(value)}")
+            raise error(f"{name} must be an integer, got {_shown_number(value)}")
     if value < minimum:
-        raise error(f"{fewer or f'{name} must be >= {minimum}'}, got {_shown(value)}")
+        raise error(f"{fewer or f'{name} must be >= {minimum}'}, got {_shown_number(value)}")
     if value > maximum:
-        raise excess(f"{name} must be <= {maximum!r}, got {_shown(value)}")
+        raise excess(f"{name} must be <= {maximum!r}, got {_shown_number(value)}")
     return value
 
 
@@ -272,8 +273,8 @@ def _snap_to_unit(x: float) -> float:
 # is evaluated. The public functions below check their inputs and then call the
 # kernel; the hot loops (sweep grid rows, record derivation, curve projection)
 # call the kernels on values that a value type or an earlier check has already
-# validated. _from_speedups takes a whole list, so a sweep row pays one call and
-# its points none: up to k = 94,906,266 each point is one inline expression.
+# validated. _from_speedups takes a whole list, so a sweep pays one call and its
+# points none: up to k = 94,906,266 each point is one inline expression.
 def _from_speedups(speedups: Iterable[float], k: int) -> list[float | None]:
     """1 - alpha of each finite speedup on k >= 2 processors, in order.
 

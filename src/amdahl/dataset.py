@@ -20,7 +20,9 @@ import csv
 import math
 from collections import namedtuple
 from enum import Enum
+from functools import reduce
 from importlib import resources
+from operator import add
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _HOMES
@@ -36,7 +38,7 @@ from .core import (
     _measured_efficiency,
     _require_count,
     _require_positive,
-    _shown,
+    _shown_number,
     alpha_eff_from_efficiency,
 )
 from .errors import (
@@ -307,9 +309,10 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     for x, y in points:
         fy, fx = _finite(y), _finite(x)
         if fy is None or fy <= 0.0:
-            raise NonPositiveValueError(f"cannot take log10 of {_shown(y)}")
+            raise NonPositiveValueError(f"cannot take log10 of {_shown_number(y)}")
         if fx is None or abs(fx) > _MAX_FIT_X:
-            raise ModelError(f"x must be finite and at most 1e150 in magnitude, got {_shown(x)}")
+            raise ModelError(
+                f"x must be finite and at most 1e150 in magnitude, got {_shown_number(x)}")
         xs.append(fx)
         ys.append(math.log10(fy))
     n = len(xs)
@@ -326,16 +329,19 @@ def fit_semilog(points: Iterable[tuple[float, float]]) -> RegressionFit:
     us = [(x - x0) / spread for x in xs]
     u_mean = math.fsum(us) / n
     y_mean = math.fsum(ys) / n
-    sxx = sum((u - u_mean) ** 2 for u in us)
-    sxy = sum((u - u_mean) * (y - y_mean) for u, y in zip(us, ys))
+    # Sums added in order, one addition at a time: sum() compensates float
+    # rounding from Python 3.12 on, which would make the fit depend on the version.
+    sxx = reduce(add, [(u - u_mean) ** 2 for u in us], 0.0)
+    sxy = reduce(add, [(u - u_mean) * (y - y_mean) for u, y in zip(us, ys)], 0.0)
     slope_u = sxy / sxx  # per unit of spread
     slope = slope_u / spread
     if math.isinf(slope):
         raise ModelError(f"the slope {slope_u!r} / {spread!r} overflows the float range")
     intercept = y_mean - slope_u * u_mean - slope * x0
 
-    ss_res = sum((y - y_mean - slope_u * (u - u_mean)) ** 2 for u, y in zip(us, ys))
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    ss_res = reduce(add, [(y - y_mean - slope_u * (u - u_mean)) ** 2
+                          for u, y in zip(us, ys)], 0.0)
+    ss_tot = reduce(add, [(y - y_mean) ** 2 for y in ys], 0.0)
     r_squared = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return RegressionFit(slope=slope, intercept=intercept, r_squared=r_squared, n=n)
 

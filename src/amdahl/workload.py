@@ -21,17 +21,19 @@ time is never an input: it emerges wherever a processor has nothing to do. A
 run keeps busy and idle times only for the processors that can run, so
 ``simulate`` takes any processor count a ``WorkloadSpec`` takes.
 
-``sweep_alpha_eff`` places its template's chunks once and then evaluates the
-grid one overhead row at a time: a grid point costs O(1), and each row is
-computed in one pass of C-level maps into one call of the speedup kernel
-``core._from_speedups``, with no Python call per point. Its overflow check
-runs once per row, on the sweep's longest sequential time, and still names
-the first overflowing point.
+``sweep_alpha_eff`` needs only the end of its template's chunks, which
+``_span`` takes from a heap of bare free times, and then evaluates the whole
+grid in one pass: a grid point costs O(1), and every speedup of the grid goes
+through C-level maps into one call of the speedup kernel
+``core._from_speedups``, with no Python call per point or per row. Its
+overflow check runs once per sweep, on the sweep's longest sequential time,
+and still names the first overflowing point.
 
 Busy and serial time are summed in input order, one addition at a time: each
 processor's busy time adds its durations, overheads and chunks as they run,
 and the serial time is the sequential durations' total plus the chunk work's
-total. So a run is bit-reproducible.
+total. So a run is bit-reproducible. The sweep adds its totals the same way,
+never with ``sum()``, which compensates float rounding from Python 3.12 on.
 
 The serial baseline used for speedup is the same work run on one processor
 with no dispatch or collect overheads (those exist only because of the
@@ -47,8 +49,9 @@ import json
 import math
 import sys
 from collections import namedtuple
-from itertools import count, islice, repeat
-from operator import truediv
+from functools import reduce
+from itertools import chain, count, islice, repeat
+from operator import add, truediv
 from typing import IO, Iterable, NamedTuple, Union
 
 from . import _HOMES
@@ -263,6 +266,21 @@ def _place(chunks: tuple[float, ...], k: int, clock: float) -> tuple[list, float
     return placed, max(free)[0]
 
 
+def _span(chunks: tuple[float, ...], k: int) -> float:
+    """The end of ``_place(chunks, k, 0.0)``, bit for bit, from a heap of bare free times.
+
+    Each chunk starts at the earliest free time, and which of several processors
+    free at that time takes it does not change the free times left after it, so
+    the times need no processor index. Every chunk is > 0, so the first m
+    chunks end at their own durations.
+    """
+    free = list(islice(chunks, k))
+    heapq.heapify(free)
+    for chunk in islice(chunks, k, None):
+        heapq.heapreplace(free, free[0] + chunk)
+    return max(free)
+
+
 def _require_finite_times(serial_time: float, parallel_time: float) -> None:
     if not (math.isfinite(serial_time) and math.isfinite(parallel_time)):
         raise InvalidWorkloadError(
@@ -301,20 +319,21 @@ def sweep_alpha_eff(
       removes the sequential phases entirely).
 
     A parallel phase always starts on an idle machine, so the span of its
-    chunks depends on neither ratio. The chunks are placed once, from time 0,
-    by the placement :func:`simulate` uses, which keeps min(processors, chunk
-    count) processors; so a sweep's time and memory do not grow with
+    chunks depends on neither ratio. It is measured once, from time 0, as the
+    end of the placement :func:`simulate` makes, over min(processors, chunk
+    count) free times; so a sweep's time and memory do not grow with
     ``processors`` beyond the chunk count. Each grid point then costs O(1):
     its parallel time is sequential time + dispatch + span + collect, its
-    serial time is sequential time + chunk work. The serial times are computed
-    once per sweep; each overhead row's speedups, fractions and points are then
-    computed in one pass.
+    serial time is sequential time + chunk work, each total added in order.
+    The sequential and serial times are computed once per column and the
+    dispatch + span + collect part once per row; all the grid's speedups,
+    fractions and points are then computed in one pass.
 
-    A row's times are checked once, at the sweep's longest sequential time.
-    Adding non-negative floats rounds monotonically, so if that point's
-    parallel and serial times are finite, so are every point's in the row; a
-    nan overhead part (an overflowed total times a zero share) fails the same
-    check. Only a row that fails is scanned, in emission order, so the error
+    The grid's times are checked once, at the sweep's longest sequential time
+    in every row. Adding non-negative floats rounds monotonically, so if those
+    points' parallel and serial times are finite, so are every point's; a nan
+    overhead part (an overflowed total times a zero share) fails the same
+    check. Only a grid that fails is scanned, in emission order, so the error
     still names the first overflowing point. Values can differ from
     simulating each rescaled workload in the last few bits, because the span
     is measured from time 0 rather than from the end of the preceding phases.
@@ -344,33 +363,42 @@ def sweep_alpha_eff(
     overhead_ratios = [_require_nonnegative(r, "sweep ratios") for r in overhead_ratios]
     sequential_ratios = [_require_nonnegative(r, "sweep ratios") for r in sequential_ratios]
 
-    span = _place(base.chunks, processors, 0.0)[1]
-    chunk_work = sum(base.chunks, 0.0)
+    span = _span(base.chunks, processors)
+    chunk_work = reduce(add, base.chunks, 0.0)
     _require_finite_times(chunk_work, span)
     durations = [p.duration for p in template.phases if isinstance(p, SequentialPhase)]
-    sequential_times = [sum(d * seq for d in durations) for seq in sequential_ratios]
-    serial_times = [seq_time + chunk_work for seq_time in sequential_times]
-    longest = max(sequential_times, default=0.0)
+    sequential_times = [reduce(add, map(seq.__mul__, durations), 0.0) for seq in sequential_ratios]
+    serial_times = list(map(chunk_work.__add__, sequential_times))
+    # Each row's total * share + span + total * (1 - share), left to right as
+    # simulate adds them; float addition and multiplication commute, so the
+    # bound methods give the same floats.
+    totals = list(map(max_chunk.__mul__, overhead_ratios))
+    parallel_parts = list(map(add, map(add, map(dispatch_share.__mul__, totals), repeat(span)),
+                              map((1.0 - dispatch_share).__mul__, totals)))
 
-    points: list[SweepPoint] = []
-    for ov in overhead_ratios:
-        total = ov * max_chunk
-        parallel_part = total * dispatch_share + span + total * (1.0 - dispatch_share)
-        # Adding to a non-negative float is monotone, so the longest sequential
-        # time overflows first; a nan part (inf * 0 overhead share) fails too.
-        if not (math.isfinite(longest + parallel_part) and math.isfinite(longest + chunk_work)):
+    # Adding to a non-negative float is monotone, so the longest sequential time
+    # overflows first; a nan part (inf * 0 overhead share) fails too.
+    longest = max(sequential_times, default=0.0)
+    if not (math.isfinite(longest + chunk_work)
+            and all(map(math.isfinite, map(longest.__add__, parallel_parts)))):
+        for ov, parallel_part in zip(overhead_ratios, parallel_parts):
             for seq, seq_time, serial_time in zip(sequential_ratios, sequential_times,
                                                   serial_times):
                 if not (math.isfinite(seq_time + parallel_part) and math.isfinite(serial_time)):
                     raise InvalidWorkloadError(
                         f"sweep point overhead={ov!r} sequential={seq!r} overflows the time range"
                     )
-        # The row in C-level maps: float addition commutes, so parallel_part + t
-        # is t + parallel_part, and each point is built as a plain tuple.
-        speedups = map(truediv, serial_times, map(parallel_part.__add__, sequential_times))
-        points += map(tuple.__new__, repeat(SweepPoint),
-                      zip(repeat(ov), sequential_ratios, _from_speedups(speedups, processors)))
-    return points
+
+    # The grid row-major in C-level maps: each row's part repeated along the
+    # row, the sequential and serial times repeated once per row.
+    n, rows = len(sequential_ratios), len(overhead_ratios)
+    speedups = map(truediv, chain.from_iterable(repeat(serial_times, rows)),
+                   map(add, chain.from_iterable(map(repeat, parallel_parts, repeat(n))),
+                       chain.from_iterable(repeat(sequential_times, rows))))
+    return list(map(tuple.__new__, repeat(SweepPoint), zip(
+        chain.from_iterable(map(repeat, overhead_ratios, repeat(n))),
+        chain.from_iterable(repeat(sequential_ratios, rows)),
+        _from_speedups(speedups, processors))))
 
 
 def load_workload(source: IO[str]) -> WorkloadSpec:

@@ -211,10 +211,14 @@ class ShownInt(int):
         return f"ShownInt({int(self)!r})"
 
 
-def guard_message(guard, value) -> str:
+def first_message(call, value) -> str:
     with pytest.raises(ValueError) as excinfo:
-        guard(value, "x")
+        call(value)
     return str(excinfo.value)
+
+
+def guard_message(guard, value) -> str:
+    return first_message(lambda v: guard(v, "x"), value)
 
 
 NUMBER_TYPES = [
@@ -239,6 +243,38 @@ def test_a_value_that_is_no_number_keeps_its_repr():
         assert guard_message(guard, True).endswith(", got True")
         assert guard_message(guard, np.float32(-1.0)).endswith(", got np.float32(-1.0)")
         assert guard_message(guard, "1").endswith(", got '1'")
+
+
+# These once named a numpy float by its repr, np.float64(2.5), where the float
+# guards named np.float64(-1.0) as -1.0.
+COUNTS_AND_FIT_POINTS = [
+    (call, plain)
+    for call, plains in [
+        (lambda v: speedup_from_alpha(0.5, v), (2.5, 0.0, -1.0, math.nan, math.inf)),
+        (lambda v: sweep_alpha_eff(v, WorkloadSpec(2, (ParallelPhase((1.0, 2.0)),)), [0.0], [0.0]),
+         (2.5, 1.0, math.nan, 1e300)),
+        (lambda v: geometric_grid(1.0, 2.0, v), (2.5, 1.0, math.inf)),
+        (lambda v: yearly_mean_efficiency([], v), (0.0, 0.5)),
+        (lambda v: fit_semilog([(v, 1.0), (2.0, 10.0)]), (math.nan, -math.inf, 1e200)),
+        (lambda v: fit_semilog([(1.0, v), (2.0, 10.0)]), (math.nan, math.inf, -1.0, 0.0)),
+    ]
+    for plain in plains
+]
+
+
+@pytest.mark.parametrize("kind", [np.float64, ShownFloat])
+@pytest.mark.parametrize("call, plain", COUNTS_AND_FIT_POINTS)
+def test_counts_and_fit_points_name_a_number_as_the_float_guards_do(call, plain, kind):
+    message = first_message(call, kind(plain))
+    assert message == first_message(call, plain)
+    assert message.endswith(f" {plain!r}")
+
+
+def test_fit_names_an_integer_y_by_its_plain_number():
+    for kind in (np.int64, ShownInt):
+        for plain in (0, -1):
+            message = first_message(lambda v: fit_semilog([(1.0, v), (2.0, 10.0)]), kind(plain))
+            assert message == f"cannot take log10 of {plain}"
 
 
 def test_an_int_beyond_the_float_range_is_named_by_its_bit_length():

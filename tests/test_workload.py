@@ -7,6 +7,8 @@ import json
 import math
 import sys
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from amdahl.workload import (
     SequentialPhase,
     TimelineSegment,
     WorkloadSpec,
+    _place,
+    _span,
     load_workload,
     simulate,
     sweep_alpha_eff,
@@ -594,6 +598,26 @@ class TestHeapPlacement:
         assert [(s.processor, s.start, s.end) for s in chunks] == [(0, 1e20, 1e20)] * 3
 
 
+# Few distinct values, so many chunks tie, plus the extremes of the chunk range.
+span_chunks = st.lists(
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0, 5e-324, 1e300]),
+              st.floats(min_value=5e-324, max_value=1e300)),
+    min_size=1, max_size=40,
+)
+
+
+class TestSpan:
+    @given(span_chunks, st.one_of(st.integers(min_value=1, max_value=48), st.just(sys.maxsize)))
+    @example([1.0] * 7, 3)
+    @example([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], 3)
+    @example([5e-324, 1e300, 5e-324, 5e-324], 2)
+    @example([1e300] * 5, 8)
+    @example([5e-324] * 9, 1)
+    def test_equals_the_end_of_the_placement(self, chunks, k):
+        chunks = tuple(chunks)
+        assert _span(chunks, k).hex() == _place(chunks, k, 0.0)[1].hex()
+
+
 def rescaled(template: WorkloadSpec, processors: int, overhead: float, sequential: float):
     """One sweep grid point built as the sweep documents it, for simulate to run."""
     base = next(p for p in template.phases if isinstance(p, ParallelPhase))
@@ -700,9 +724,10 @@ def checked_points(template, processors, overheads, sequentials):
     for o in overheads:
         total = o * max(base.chunks)
         for seq in sequentials:
-            seq_time = sum(d * seq for d in durations)
+            # Added in order, as simulate adds: sum() compensates from Python 3.12 on.
+            seq_time = reduce(add, [d * seq for d in durations], 0.0)
             parallel_part = total * share + span + total * (1.0 - share)
-            s = (seq_time + sum(base.chunks)) / (seq_time + parallel_part)
+            s = (seq_time + reduce(add, base.chunks, 0.0)) / (seq_time + parallel_part)
             points.append(
                 None if s < 1.0
                 else alpha_eff_from_speedup(min(s, float(processors)), processors).one_minus_alpha
@@ -822,6 +847,17 @@ class TestSweep:
     def test_empty_ratio_lists_give_no_points(self):
         assert sweep_alpha_eff(3, realistic_spec(), [], [0.0, 1.0]) == []
         assert sweep_alpha_eff(3, realistic_spec(), [0.0, 1e308], []) == []
+        # No point exists to overflow: 1e308 overhead is inf, 1e308 sequential work too.
+        assert sweep_alpha_eff(3, realistic_spec(), [1e308], []) == []
+        assert sweep_alpha_eff(3, realistic_spec(), [], [1e308]) == []
+        assert sweep_alpha_eff(3, realistic_spec(), [], []) == []
+
+    def test_only_the_last_row_overflowing_is_named_by_its_first_point(self):
+        with pytest.raises(
+            InvalidWorkloadError,
+            match=r"^sweep point overhead=1e\+308 sequential=0\.5 overflows the time range$",
+        ):
+            sweep_alpha_eff(3, realistic_spec(), [0.0, 0.5, 1e308], [0.5, 0.0, 2.0])
 
     def test_working_point(self):
         points = sweep_alpha_eff(3, realistic_spec(), [0.5], [1.0])
