@@ -27,7 +27,6 @@ _HOMES = {
         "AlphaEstimate",
         "Efficiency",
         "EstimationMethod",
-        "Speedup",
         "alpha_eff_from_efficiency",
         "alpha_eff_from_speedup",
         "alpha_from_two_efficiencies",

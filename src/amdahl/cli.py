@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from enum import Enum
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 __all__ = ["run", "main"]
 
@@ -316,12 +316,12 @@ def _cmd_simulate(args: argparse.Namespace, output: _Output) -> None:
     with open(args.workload, encoding="utf-8") as fh:
         spec = load_workload(fh)
     result = simulate(spec)
-    efficiency = result.speedup.value / spec.processors
+    efficiency = result.speedup / spec.processors
     pairs: list[tuple[str, object]] = [
         ("processors", spec.processors),
         ("serial_time", result.serial_time),
         ("parallel_time", result.parallel_time),
-        ("speedup", result.speedup.value),
+        ("speedup", result.speedup),
         ("efficiency", efficiency),
         ("alpha_eff", None if result.alpha_eff is None else result.alpha_eff.alpha),
         (

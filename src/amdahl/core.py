@@ -26,8 +26,8 @@ import math
 import operator
 import sys
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from enum import Enum
-from typing import Iterable
 
 from . import _HOMES
 from .errors import (
@@ -90,15 +90,6 @@ class AlphaEstimate(_Checked, namedtuple("AlphaEstimate", "one_minus_alpha metho
     def alpha(self) -> float:
         """The parallel fraction itself; lossy near 1, prefer one_minus_alpha."""
         return 1.0 - self.one_minus_alpha
-
-
-class Speedup(_Checked, namedtuple("Speedup", "value")):
-    """A measured or modeled wall-clock speedup (dimensionless, > 0)."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float):
-        return tuple.__new__(cls, (_require_positive(value, "speedup"),))
 
 
 class Efficiency(_Checked, namedtuple("Efficiency", "value inverse_excess")):
@@ -194,23 +185,19 @@ def _finite(x: object) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _shown(x: object) -> str:
-    """repr(x), but an int beyond the float range by its bit length: repr fails past 4300 digits."""
-    if isinstance(x, int) and abs(x) > _FLOAT_MAX:
-        return f"a {x.bit_length()}-bit integer"
-    return repr(x)
-
-
 def _shown_number(x: object) -> str:
-    """x as the value guards name it: a float or an integer type by the plain number it reads as.
+    """x as an error names it: a float or an integer type by the plain number it reads as.
 
-    So np.float64(0.0) shows as 0.0 and np.int64(0) as 0, as a float and an int do;
-    anything else, a bool included, shows as _shown shows it.
+    So np.float64(0.0) shows as 0.0 and np.int64(0) as 0, as a float and an int do, and
+    an integer beyond the float range by its bit length, since repr fails past 4300
+    digits; anything else, a bool included, by its repr.
     """
     if isinstance(x, float):
         return float.__repr__(x)
     integer = _integer(x)
-    return _shown(x if integer is None else integer)
+    if integer is None:
+        return repr(x)
+    return f"a {integer.bit_length()}-bit integer" if abs(integer) > _FLOAT_MAX else repr(integer)
 
 
 def _comment_lines(text: str) -> str:
@@ -259,6 +246,27 @@ def _require_nonnegative(value: object, name: str) -> float:
     if number is None or not 0.0 <= number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite and >= 0, got {_shown_number(value)}")
     return number
+
+
+def _require_each(
+    values: Iterable[object], require: Callable[[object, str], float], name: str
+) -> tuple[float, ...]:
+    """The floats ``require`` returns for each of values, the first bad one named "<name> <j>".
+
+    ``require`` is a guard whose rule is a lower bound up to the float range, as
+    _require_positive's and _require_nonnegative's are. So exact floats with a finite
+    sum (a nan or inf anywhere makes it nan or inf) pass whole when their smallest
+    passes, with no call per item, and only a list that fails is checked again with
+    each item's position in its name.
+    """
+    values = tuple(values)
+    try:
+        if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+            require(min(values), name)
+            return values
+        return tuple([require(x, name) for x in values])
+    except ValueError:
+        return tuple([require(x, f"{name} {j}") for j, x in enumerate(values, 1)])
 
 
 def _snap_to_unit(x: float) -> float:
@@ -330,13 +338,13 @@ def _efficiency(x: float, k: int) -> float:
     return 1.0 / (1.0 + (k - 1) * x)
 
 
-def speedup_from_alpha(one_minus_alpha: float, cores: int) -> Speedup:
+def speedup_from_alpha(one_minus_alpha: float, cores: int) -> float:
     """Forward model: the speedup of a (1 - alpha) serial fraction on ``cores`` processors."""
     cores = _require_count(cores, "cores", 1)
     one_minus_alpha = _require_fraction(one_minus_alpha)
     s = 1.0 / (one_minus_alpha + (1.0 - one_minus_alpha) / cores)
     # The model guarantees S <= k; spare callers the occasional half-ulp excess.
-    return Speedup(min(s, float(cores)))
+    return min(s, float(cores))
 
 
 def efficiency_from_alpha(one_minus_alpha: float, cores: int) -> Efficiency:
@@ -352,7 +360,7 @@ def efficiency_from_alpha(one_minus_alpha: float, cores: int) -> Efficiency:
     )
 
 
-def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimate:
+def alpha_eff_from_speedup(speedup: float, cores: int) -> AlphaEstimate:
     """Invert a measured speedup on ``cores`` processors into ``1 - alpha_eff``.
 
     Uses the subtraction-first form (k - S) / ((k - 1) * S). The boundary
@@ -364,7 +372,7 @@ def alpha_eff_from_speedup(speedup: float | Speedup, cores: int) -> AlphaEstimat
         SuperlinearError: S > k, outside the model.
         ValueError: S < 1 (a slowdown, which the model cannot express).
     """
-    s = speedup.value if isinstance(speedup, Speedup) else _require_positive(speedup, "speedup")
+    s = _require_positive(speedup, "speedup")
     cores = _require_count(
         cores, "cores", 2, "needs at least 2 processors to invert", DegenerateCoresError
     )

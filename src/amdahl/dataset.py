@@ -21,7 +21,6 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import reduce
-from importlib import resources
 from operator import add
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -403,4 +402,6 @@ def _pstdev(xs: list[float]) -> float:
 
 def fixture_path(name: str) -> str:
     """Filesystem path of a data file shipped with the package."""
+    from importlib import resources  # with pathlib and tempfile; no CLI call needs them
+
     return str(resources.files("amdahl.data").joinpath(name))

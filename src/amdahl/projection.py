@@ -23,10 +23,11 @@ from .core import (
     _Checked,
     _efficiency,
     _require_count,
+    _require_each,
     _require_fraction,
     _require_nonnegative,
     _require_positive,
-    _shown,
+    _shown_number,
     alpha_eff_from_efficiency,
     efficiency_from_alpha,
     max_speedup,
@@ -66,7 +67,8 @@ def geometric_grid(start: float, stop: float, points: int) -> list[float]:
     points = _require_count(points, "points", 2, "a grid needs at least 2 points", maximum=math.inf)
     start, stop = _require_positive(start, "grid start"), _require_positive(stop, "grid stop")
     if points > _MAX_GRID_POINTS:
-        raise ModelError(f"a grid has at most {_MAX_GRID_POINTS} points, got {_shown(points)}")
+        raise ModelError(
+            f"a grid has at most {_MAX_GRID_POINTS} points, got {_shown_number(points)}")
     ratio = (stop / start) ** (1.0 / (points - 1))
     try:
         grid = [start * ratio**i for i in range(points)]
@@ -94,16 +96,20 @@ def project_curve(
     target peak implies a core count (rounded to the nearest integer, floored
     at 1). Efficiency then follows from the serial fraction at that count.
 
+    The grid is checked whole before any point is computed.
+
     Raises:
+        ValueError: a grid peak that is not finite and > 0, named by its position
+            (``grid rpeak 2``).
         ModelError: a grid peak implies a core count beyond the float range.
     """
     base_cores = _require_count(base_cores, "cores", 1)
     x = _require_fraction(one_minus_alpha)
     base_rpeak = _require_positive(base_rpeak, "base_rpeak")
+    grid = _require_each(rpeak_grid, _require_positive, "grid rpeak")
 
     points = []
-    for rp in rpeak_grid:
-        peak = _require_positive(rp, "grid rpeak")
+    for peak in grid:
         cores = _cores_at(peak, base_cores, base_rpeak)  # in [1, the float range]
         e = _efficiency(x, cores)
         points.append(CurvePoint(rpeak=peak, cores=cores, efficiency=e, rmax=e * peak))

@@ -15,8 +15,9 @@ pairs over min(k, n) processors finds each of n chunks its processor, so a
 phase costs O(n log min(k, n)) placement. The first round, one chunk per
 processor from the phase start, skips the heap whenever each of its chunks
 moves the clock. ``simulate`` then adds each chunk's timeline segment, busy
-time and serial work in one loop. Chunks that are exact floats, all > 0 with
-a finite sum, pass ``WorkloadSpec``'s check with no call per chunk. Waiting
+time and serial work in one loop. ``WorkloadSpec`` checks the chunks with the
+list guard ``core._require_each``, so exact float chunks with a finite sum cost
+one guard call, on the smallest, and no call per chunk. Waiting
 time is never an input: it emerges wherever a processor has nothing to do. A
 run keeps busy and idle times only for the processors that can run, so
 ``simulate`` takes any processor count a ``WorkloadSpec`` takes.
@@ -58,13 +59,13 @@ from . import _HOMES
 from .core import (
     AlphaEstimate,
     EstimationMethod,
-    Speedup,
     _Checked,
     _from_speedups,
     _require_count,
+    _require_each,
     _require_nonnegative,
     _require_positive,
-    _shown,
+    _shown_number,
 )
 from .errors import InvalidTemplateError, InvalidWorkloadError
 
@@ -112,23 +113,12 @@ def _checked_phase(phase: Phase, index: int) -> Phase:
                     chunks = () if chunks is None else iter(chunks)
                 except TypeError:
                     raise ValueError(
-                        f"chunks must be an iterable of numbers, got {_shown(chunks)}")
-                chunks = tuple(chunks)  # read once: the chunks may be an iterator
+                        f"chunks must be an iterable of numbers, got {_shown_number(chunks)}")
+            chunks = _require_each(chunks, _require_positive, "chunk")
             if not chunks:
                 raise ValueError("a parallel phase needs at least one chunk")
-            # Exact floats, all > 0 (a nan first fails min), with a finite sum (a
-            # nan or inf anywhere makes it nan or inf) are what the guard returns.
-            if (set(map(type, chunks)) == {float} and min(chunks) > 0.0
-                    and math.isfinite(sum(chunks))):
-                checked = chunks
-            else:
-                try:
-                    checked = tuple([_require_positive(c, "chunk") for c in chunks])
-                except ValueError:  # check again, naming each chunk, to report the first bad one
-                    for j, c in enumerate(chunks, 1):
-                        _require_positive(c, f"chunk {j}")
             return ParallelPhase(
-                checked,
+                chunks,
                 _require_nonnegative(phase.dispatch_overhead, "dispatch overhead"),
                 _require_nonnegative(phase.collect_overhead, "collect overhead"),
             )
@@ -163,7 +153,7 @@ class ScheduleResult(NamedTuple):
 
     serial_time: float
     parallel_time: float
-    speedup: Speedup
+    speedup: float
     alpha_eff: AlphaEstimate | None
     per_processor_busy: tuple[float, ...]
     per_processor_idle: tuple[float, ...]
@@ -212,8 +202,8 @@ def simulate(workload: WorkloadSpec) -> ScheduleResult:
     serial_time = serial_seq + serial_chunks
     parallel_time = clock
     _require_finite_times(serial_time, parallel_time)
-    speedup = Speedup(serial_time / parallel_time)
-    [one_minus] = [None] if k < 2 else _from_speedups([speedup.value], k)
+    speedup = serial_time / parallel_time
+    [one_minus] = [None] if k < 2 else _from_speedups([speedup], k)
 
     idle = tuple([max(0.0, parallel_time - b) for b in busy])
     return ScheduleResult(
@@ -342,7 +332,8 @@ def sweep_alpha_eff(
 
     Raises:
         ValueError: a processor count that is no integer or below 2, or a
-            ratio that is negative or not a finite number.
+            ratio that is negative or not a finite number, named by its list and
+            position (``overhead ratio 2``, ``sequential ratio 1``).
         InvalidTemplateError: a template without exactly one parallel phase.
         InvalidWorkloadError: more than ``sys.maxsize`` processors, or the
             chunks' or a grid point's times overflow the float range.
@@ -360,8 +351,8 @@ def sweep_alpha_eff(
     base_total = base.dispatch_overhead + base.collect_overhead
     dispatch_share = base.dispatch_overhead / base_total if base_total > 0.0 else 0.5
 
-    overhead_ratios = [_require_nonnegative(r, "sweep ratios") for r in overhead_ratios]
-    sequential_ratios = [_require_nonnegative(r, "sweep ratios") for r in sequential_ratios]
+    overhead_ratios = _require_each(overhead_ratios, _require_nonnegative, "overhead ratio")
+    sequential_ratios = _require_each(sequential_ratios, _require_nonnegative, "sequential ratio")
 
     span = _span(base.chunks, processors)
     chunk_work = reduce(add, base.chunks, 0.0)

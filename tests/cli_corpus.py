@@ -300,15 +300,13 @@ def _block(title: str, code: object, out: str, err: str) -> str:
     lines = [f"$ {title}", f"exit {code}"]
     for label, text in (("stdout", out), ("stderr", err)):
         if text:
-            lines.append(f"{label}:")
-            lines += ["| " + line for line in text.split("\n")[:-1]]
-            if not text.endswith("\n"):
-                lines += ["| " + text.rsplit("\n", 1)[-1], "(no newline at end)"]
+            lines.append(f"{label}:" if text.endswith("\n") else f"{label} (no newline at end):")
+            lines += ["| " + line for line in text.removesuffix("\n").split("\n")]
     return "\n".join(lines) + "\n"
 
 
 def _run(argv: list[str]) -> str:
-    from amdahl.cli import run
+    from amdahl.cli import run  # imported here, after __main__ puts this tree's src/ first
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -325,7 +323,7 @@ def _call(expression: str) -> str:
         namespace["template"] = amdahl.load_workload(fh)
     try:
         shown = repr(eval(expression, namespace))
-    except Exception as exc:
+    except ValueError as exc:  # every domain error of the package is one
         shown = f"{type(exc).__name__}: {exc}"
     return f">>> {expression}\n{shown}\n"
 
@@ -359,14 +357,14 @@ def diff(expected: str, actual: str) -> str:
 
 
 def main(args: list[str]) -> int:
+    if args not in ([], ["--update"]):
+        print("usage: python tests/cli_corpus.py [--update]", file=sys.stderr)
+        return 1
     actual = render()
-    if args == ["--update"]:
+    if args:
         EXPECTED.write_text(actual, encoding="utf-8")
         print(f"wrote {len(argvs())} argv and {len(LIBRARY)} library calls to {EXPECTED}")
         return 0
-    if args:
-        print("usage: python tests/cli_corpus.py [--update]", file=sys.stderr)
-        return 1
     changes = diff(EXPECTED.read_text(encoding="utf-8"), actual)
     sys.stdout.write(changes or f"{len(argvs())} argv and {len(LIBRARY)} library calls match\n")
     return 1 if changes else 0

@@ -152,16 +152,16 @@ def test_reference_timelines_exact():
     failures: list[str] = []
 
     balanced = simulate(_load("workload_classic.json"))
-    _check(failures, "balanced speedup", balanced.speedup.value == 2.0,
-           f"got {balanced.speedup.value!r}, want exactly 2.0")
+    _check(failures, "balanced speedup", balanced.speedup == 2.0,
+           f"got {balanced.speedup!r}, want exactly 2.0")
     _check(failures, "balanced alpha",
            balanced.alpha_eff is not None and balanced.alpha_eff.alpha == 0.75,
            f"got {balanced.alpha_eff!r}, want exactly 0.75")
 
     skewed = simulate(_load("workload_realistic.json"))
     _check(failures, "skewed speedup",
-           abs(skewed.speedup.value - 10.0 / 7.0) <= 1e-15,
-           f"got {skewed.speedup.value!r}, want 10/7 within 1e-15")
+           abs(skewed.speedup - 10.0 / 7.0) <= 1e-15,
+           f"got {skewed.speedup!r}, want 10/7 within 1e-15")
     _check(failures, "skewed alpha",
            skewed.alpha_eff is not None and abs(skewed.alpha_eff.alpha - 0.45) <= 1e-15,
            f"got {skewed.alpha_eff!r}, want 0.45 within 1e-15")

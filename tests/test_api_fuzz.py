@@ -46,7 +46,6 @@ from amdahl import (
     ParallelPhase,
     ScalingScenario,
     SequentialPhase,
-    Speedup,
     WorkloadSpec,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
@@ -235,7 +234,6 @@ ENTRIES: dict[str, tuple[Callable, tuple]] = {
     "AlphaEstimate": (AlphaEstimate, (F, st.sampled_from(EstimationMethod), C)),
     "Efficiency": (Efficiency, (F, P)),
     "Efficiency-measured": (Efficiency, (F,)),
-    "Speedup": (Speedup, (P,)),
     "EstimationMethod": (EstimationMethod, (N,)),
     "Architecture": (Architecture, (N,)),
     "Benchmark": (Benchmark, (N,)),

@@ -1268,7 +1268,7 @@ class TestHarness:
             (("bounds", "--clock-hz", "1e9", "--runtime-s", "10", "--hw-cycles", "nan"),
              "hardware_cycles must be finite and >= 0, got nan"),
             (("sweep", "--workload", REALISTIC, "--overhead", "nan", "--sequential", "0"),
-             "sweep ratios must be finite and >= 0, got nan"),
+             "overhead ratio 1 must be finite and >= 0, got nan"),
         ],
         ids=["alpha-scale", "hw-cycles", "overhead"],
     )

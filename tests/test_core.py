@@ -13,7 +13,6 @@ from amdahl.core import (
     AlphaEstimate,
     Efficiency,
     EstimationMethod,
-    Speedup,
     _efficiency,
     _from_inverse_excess,
     _from_speedups,
@@ -40,10 +39,11 @@ core_counts = st.integers(min_value=2, max_value=10**7)
 
 class TestForwardModel:
     def test_reference_points(self):
-        assert speedup_from_alpha(0.25, 3).value == 2.0
-        assert speedup_from_alpha(0.0, 64).value == 64.0
-        assert speedup_from_alpha(1.0, 64).value == 1.0
-        assert speedup_from_alpha(0.5, 1).value == 1.0
+        assert speedup_from_alpha(0.25, 3) == 2.0
+        assert speedup_from_alpha(0.0, 64) == 64.0
+        assert speedup_from_alpha(1.0, 64) == 1.0
+        assert speedup_from_alpha(0.5, 1) == 1.0
+        assert type(speedup_from_alpha(0.25, 3)) is float
 
     def test_efficiency_reference_points(self):
         assert efficiency_from_alpha(0.0, 1000).value == 1.0
@@ -55,12 +55,12 @@ class TestForwardModel:
 
     @given(fractions, core_counts)
     def test_speedup_stays_within_model_range(self, one_minus_alpha, cores):
-        s = speedup_from_alpha(one_minus_alpha, cores).value
+        s = speedup_from_alpha(one_minus_alpha, cores)
         assert 1.0 <= s <= cores
 
     @given(fractions, core_counts)
     def test_efficiency_and_speedup_agree(self, one_minus_alpha, cores):
-        s = speedup_from_alpha(one_minus_alpha, cores).value
+        s = speedup_from_alpha(one_minus_alpha, cores)
         e = efficiency_from_alpha(one_minus_alpha, cores).value
         assert e * cores == pytest.approx(s, rel=1e-12)
 
@@ -77,12 +77,10 @@ class TestForwardModel:
 
 class TestValueTypes:
     def test_speedup_validation(self):
-        with pytest.raises(ValueError):
-            Speedup(0.0)
-        with pytest.raises(ValueError):
-            Speedup(-2.0)
-        with pytest.raises(ValueError):
-            Speedup(math.inf)
+        # A speedup is a plain number, checked where it is inverted.
+        for bad in (0.0, -2.0, math.inf):
+            with pytest.raises(ValueError, match=r"^speedup must be finite and > 0, got "):
+                alpha_eff_from_speedup(bad, 4)
 
     def test_efficiency_validation(self):
         with pytest.raises(ValueError):
@@ -133,8 +131,10 @@ class TestInverseFromSpeedup:
         assert est.method is EstimationMethod.FROM_SPEEDUP
         assert est.cores == 3
 
-    def test_accepts_wrapped_value(self):
-        assert alpha_eff_from_speedup(Speedup(2.0), 3).one_minus_alpha == 0.25
+    def test_inverts_the_forward_model_number(self):
+        assert alpha_eff_from_speedup(speedup_from_alpha(0.25, 3), 3).one_minus_alpha == 0.25
+        with pytest.raises(ValueError, match=r"^speedup must be finite and > 0, got \(2\.0,\)$"):
+            alpha_eff_from_speedup((2.0,), 3)
 
     def test_error_taxonomy(self):
         with pytest.raises(SuperlinearError):
@@ -326,7 +326,7 @@ class TestMaxSpeedup:
 
     @given(small_fractions, core_counts)
     def test_dominates_any_finite_machine(self, one_minus_alpha, cores):
-        s = speedup_from_alpha(one_minus_alpha, cores).value
+        s = speedup_from_alpha(one_minus_alpha, cores)
         assert s <= max_speedup(one_minus_alpha) * (1.0 + 1e-12)
 
 

@@ -9,7 +9,8 @@ does the same for integer counts: each entry point accepts the ints it accepted
 before, numpy ints among them, and rejects every other value with ValueError.
 The inversions and the fit then run on edge values, each result held against
 exact ``Fraction`` arithmetic. The last tests run the projections and the sweep
-on numpy ints and ints up to 10**308.
+on numpy ints and ints up to 10**308. The list guard ``_require_each`` must
+give what running its guard on each item gives.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from amdahl.core import (
     AlphaEstimate,
     Efficiency,
     EstimationMethod,
-    Speedup,
     _require_count,
+    _require_each,
     _require_fraction,
     _require_nonnegative,
     _require_positive,
@@ -65,7 +66,7 @@ def old_fraction(v):  # core._require_fraction
     return not math.isfinite(v) or not 0.0 <= v <= 1.0
 
 
-def old_positive(value):  # core._require_positive, Speedup, Efficiency.value
+def old_positive(value):  # core._require_positive, Efficiency.value
     return not math.isfinite(value) or value <= 0.0
 
 
@@ -283,10 +284,11 @@ def test_an_int_beyond_the_float_range_is_named_by_its_bit_length():
 
 
 ENTRY_POINTS = {
-    "Speedup": lambda v: Speedup(v),
+    "alpha_eff_from_speedup": lambda v: alpha_eff_from_speedup(v, 4),
     "Efficiency": lambda v: Efficiency(v),
     "ContributionBudget": lambda v: ContributionBudget(v, 1.0, 1.0),
     "project_curve": lambda v: project_curve(1, v, 0.1, [1.0]),
+    "project_curve-grid": lambda v: project_curve(1, 1.0, 0.1, [1.0, v]),
     "alpha_from_two_timings": lambda v: alpha_from_two_timings(v, 1, 1.0, 2),
     "MachineRecord": lambda v: MachineRecord(
         2017, 1, "x", Architecture.MPP, 4, v, 1e9, Benchmark.HPL
@@ -310,7 +312,7 @@ def test_entry_points_raise_only_value_error(call, value):
 # Each raised OverflowError or TypeError, or returned a grid with inf or nan, before
 # the guards took any value.
 BAD_CALLS = {
-    "Speedup": lambda: Speedup(10**400),
+    "project_curve-grid": lambda: project_curve(1, 1.0, 0.1, [1.0, 10**400]),
     "Efficiency": lambda: Efficiency("x"),
     "ContributionBudget": lambda: ContributionBudget(10**400, 1.0, 1.0),
     "project_curve": lambda: project_curve(1, 10**400, 0.1, [1.0]),
@@ -340,9 +342,52 @@ def test_an_int_beyond_the_float_range_is_not_converted_before_the_check():
         alpha_eff_from_speedup(10**400, 4)
     # Accepted numbers, numpy ones too, are stored as floats, and so are results computed from them.
     assert type(alpha_eff_from_speedup(2, 3).one_minus_alpha) is float
-    assert type(Speedup(2).value) is float and type(Efficiency(1).value) is float
+    assert type(speedup_from_alpha(0.5, np.int64(2))) is float
+    assert type(Efficiency(1).value) is float
     assert type(Efficiency(np.float64(0.5)).inverse_excess) is float
     assert type(whatif(ScalingScenario(0.5, 3, 1.0, 3.0, np.int64(5), None)).rmax) is float
+
+
+def checked_outcome(call):
+    """The type and repr of each float call returns, or the type and message of its error."""
+    try:
+        return [(type(x), repr(x)) for x in call()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+BIG = 1e308  # each passes; two of them sum past the float range
+MAX_FLOAT = sys.float_info.max
+list_items = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, BIG, MAX_FLOAT, math.nan, math.inf, -math.inf,
+                     -1.0]),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from([2**1023, 10**400, -(10**400)]),
+    st.floats().map(np.float64),
+)
+item_lists = st.one_of(
+    st.lists(list_items, max_size=8),
+    st.lists(st.floats(min_value=1e290), max_size=8),
+    st.lists(st.sampled_from([BIG, MAX_FLOAT, 1.0, 5e-324]), min_size=2, max_size=8),
+)
+
+
+@pytest.mark.parametrize("require", [_require_positive, _require_nonnegative])
+@pytest.mark.parametrize("container", [tuple, list, iter])
+@given(values=item_lists)
+@example(values=[BIG, BIG])
+@example(values=[BIG, BIG, -0.0])
+@example(values=[1.0, math.nan, -1.0])
+@example(values=[math.inf, -math.inf])
+@example(values=[-0.0, 0.0])
+@example(values=[5e-324, 0.0])
+@example(values=[2.0, np.float64(-1.0)])
+@example(values=[])
+def test_list_guard_equals_the_guard_on_each_item(require, container, values):
+    named = checked_outcome(lambda: tuple(require(x, f"item {j}") for j, x in
+                                          enumerate(values, 1)))
+    assert checked_outcome(lambda: _require_each(container(values), require, "item")) == named
 
 
 # The count guard, core._require_count, replaced core._require_cores,

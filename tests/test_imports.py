@@ -108,6 +108,24 @@ class TestPackageExports:
 
 HPL = fixture_path("top500_2017_hpl.csv")
 CLASSIC = fixture_path("workload_classic.json")
+ALPHA = ("alpha", "--efficiency", "0.5", "--cores", "8")
+# One call of each subcommand, and the top-level help page.
+EVERY_CALL = [
+    ALPHA,
+    ("simulate", "--workload", CLASSIC),
+    ("timeline", "--input", HPL, "--select", "best-alpha"),
+    ("mean-efficiency", "--input", HPL, "--top", "5"),
+    ("project", "--input", HPL, "--name", "Titan", "--rpeak-from", "1P",
+     "--rpeak-to", "1E", "--points", "3"),
+    ("whatif", "--efficiency", "0.7", "--cores", "10", "--new-cores", "20",
+     "--rpeak", "1P"),
+    ("required-alpha", "--efficiency", "0.5", "--cores", "8"),
+    ("bounds", "--clock-hz", "1e9", "--runtime-s", "10", "--hw-cycles", "100",
+     "--per-proc-flops", "1T"),
+    ("saturation", "--per-proc-flops", "1T", "--one-minus-alpha", "1e-6"),
+    ("sweep", "--workload", CLASSIC, "--overhead", "0,1", "--sequential", "0,1"),
+    ("--help",),
+]
 
 
 class TestSubcommandImports:
@@ -149,31 +167,33 @@ class TestSubcommandImports:
         assert loads <= set(loaded)
         assert not skips & set(loaded)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("alpha", "--efficiency", "0.5", "--cores", "8"),
-            ("simulate", "--workload", CLASSIC),
-            ("timeline", "--input", HPL, "--select", "best-alpha"),
-            ("mean-efficiency", "--input", HPL, "--top", "5"),
-            ("project", "--input", HPL, "--name", "Titan", "--rpeak-from", "1P",
-             "--rpeak-to", "1E", "--points", "3"),
-            ("whatif", "--efficiency", "0.7", "--cores", "10", "--new-cores", "20",
-             "--rpeak", "1P"),
-            ("required-alpha", "--efficiency", "0.5", "--cores", "8"),
-            ("bounds", "--clock-hz", "1e9", "--runtime-s", "10", "--hw-cycles", "100",
-             "--per-proc-flops", "1T"),
-            ("saturation", "--per-proc-flops", "1T", "--one-minus-alpha", "1e-6"),
-            ("sweep", "--workload", CLASSIC, "--overhead", "0,1", "--sequential", "0,1"),
-            ("--help",),
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", EVERY_CALL, ids=lambda argv: argv[0])
     def test_no_call_loads_dataclasses_or_inspect(self, argv):
         # Value types are named tuples, so no call pays to import dataclasses and inspect.
         code, *loaded = fresh_modules(RUN_CLI, *argv)
         assert code == "0"
         assert not {"dataclasses", "inspect"} & set(loaded)
+
+    @pytest.mark.parametrize("argv", EVERY_CALL, ids=lambda argv: argv[0])
+    def test_no_call_loads_importlib_resources(self, argv):
+        # Only fixture_path reads the package data through importlib.resources, which
+        # loads pathlib and tempfile with it; no call uses fixture_path.
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert not {"importlib.resources", "pathlib", "tempfile"} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [ALPHA, ("--format", "csv", *ALPHA), ("alpha", "--help"), ("--help",)],
+        ids=["alpha", "alpha-csv", "alpha-help", "help"],
+    )
+    def test_estimates_and_help_load_no_typing(self, argv):
+        # typing comes only with the layers that define NamedTuple types; the names
+        # the CLI and the core layer annotate with come from collections.abc.
+        code, *loaded = fresh_modules(RUN_CLI, *argv)
+        assert code == "0"
+        assert "amdahl.cli" in loaded
+        assert "typing" not in loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -201,14 +221,19 @@ class TestSubcommandImports:
     )
     def test_simulator_calls_load_only_the_workload_layer(self, argv):
         # Beyond what the core layer loads, a simulator call adds the workload module,
-        # the json reader and heapq, and nothing else: start-up time is measured on
-        # every call. itertools and operator are loaded at start-up already.
-        code, *core = fresh_modules(RUN_CLI, "alpha", "--efficiency", "0.5", "--cores", "8")
+        # the json reader, heapq and, for its NamedTuple types, typing, and nothing else:
+        # start-up time is measured on every call. itertools and operator are loaded at
+        # start-up already.
+        code, *core = fresh_modules(RUN_CLI, *ALPHA)
         assert code == "0"
         assert {"itertools", "operator"} <= set(fresh_modules(RUN_CLI, "--help")[1:])
+        words = fresh_modules(RUN_CLI + "before = set(sys.modules)\nimport typing\n"
+                              "print('typing:', *set(sys.modules) - before)\n", *ALPHA)
+        typing = set(words[words.index("typing:") + 1:])
+        assert "typing" in typing
         code, *loaded = fresh_modules(RUN_CLI, *argv)
         assert code == "0"
-        assert set(loaded) - set(core) == {
+        assert set(loaded) - set(core) == typing | {
             "amdahl.workload", "heapq", "_heapq",
             "json", "json.decoder", "json.encoder", "json.scanner", "_json",
         }

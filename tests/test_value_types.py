@@ -1,7 +1,7 @@
 """The contract every public value type keeps: an immutable, hashable named tuple.
 
 Each type keeps its field names, order and defaults, keyword construction, its
-``repr`` and its checks. The seven validated types run their checks in
+``repr`` and its checks. The six validated types run their checks in
 ``__new__``, so ``_make`` and ``_replace`` cannot build a value the
 constructor would reject.
 """
@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from amdahl.core import AlphaEstimate, Efficiency, EstimationMethod, Speedup
+from amdahl.core import AlphaEstimate, Efficiency, EstimationMethod
 from amdahl.dataset import (
     Architecture,
     Benchmark,
@@ -50,7 +50,6 @@ SPEC = dict(processors=2, phases=(SequentialPhase(1.0), ParallelPhase((1.0, 2.0)
 CASES = [
     (AlphaEstimate, "one_minus_alpha method cores",
      dict(one_minus_alpha=0.25, method=EstimationMethod.FROM_SPEEDUP), dict(cores=None)),
-    (Speedup, "value", dict(value=2.0), {}),
     (Efficiency, "value inverse_excess", dict(value=0.5), dict(inverse_excess=1.0)),
     (MachineRecord, "year rank name arch cores rmax rpeak benchmark", RECORD, {}),
     (DerivedMetrics, "efficiency one_minus_alpha_eff",
@@ -88,7 +87,7 @@ CASES = [
     (ScheduleResult,
      "serial_time parallel_time speedup alpha_eff per_processor_busy per_processor_idle "
      "timeline",
-     dict(serial_time=3.0, parallel_time=2.0, speedup=Speedup(1.5),
+     dict(serial_time=3.0, parallel_time=2.0, speedup=1.5,
           alpha_eff=AlphaEstimate(1 / 3, EstimationMethod.SIMULATED, 2),
           per_processor_busy=(2.0, 1.0), per_processor_idle=(0.0, 1.0),
           timeline=(TimelineSegment(0, 0.0, 2.0, "chunk1.1"),)), {}),
@@ -180,7 +179,6 @@ def test_workload_spec_stores_its_phases_as_a_tuple():
 INVALID_CHANGES = [
     (AlphaEstimate(0.25, EstimationMethod.SIMULATED), dict(one_minus_alpha=1.5), ValueError),
     (AlphaEstimate(0.25, EstimationMethod.SIMULATED), dict(cores=0), ValueError),
-    (Speedup(2.0), dict(value=-1.0), ValueError),
     (Efficiency(0.5), dict(value=0.25), ValueError),
     (Efficiency(0.5), dict(value=1.5), SuperlinearError),
     (Efficiency(0.5), dict(inverse_excess=-1.0), ValueError),
@@ -218,7 +216,7 @@ def test_replace_keeps_efficiency_consistent():
 
 
 def test_make_builds_a_checked_value():
-    assert Speedup._make([2.0]) == Speedup(2.0)
-    assert type(Speedup._make([2.0])) is Speedup
+    assert Efficiency._make([0.5, 1.0]) == Efficiency(0.5)
+    assert type(Efficiency._make([0.5, 1.0])) is Efficiency
     with pytest.raises(TypeError):
-        Speedup._make([2.0, 3.0])
+        Efficiency._make([0.5, 1.0, 2.0])

@@ -19,7 +19,6 @@ from amdahl.core import (
     AlphaEstimate,
     Efficiency,
     EstimationMethod,
-    Speedup,
     _require_positive,
     alpha_eff_from_speedup,
 )
@@ -65,7 +64,7 @@ class TestReferenceWorkloads:
         result = simulate(classic_spec())
         assert result.serial_time == 10.0
         assert result.parallel_time == 5.0
-        assert result.speedup.value == 2.0
+        assert result.speedup == 2.0
         assert result.alpha_eff is not None
         assert result.alpha_eff.alpha == 0.75
         assert result.per_processor_busy == (5.0, 2.5, 2.5)
@@ -85,7 +84,7 @@ class TestReferenceWorkloads:
         result = simulate(realistic_spec())
         assert result.serial_time == 10.0
         assert result.parallel_time == 7.0
-        assert result.speedup.value == pytest.approx(10.0 / 7.0, rel=1e-15)
+        assert result.speedup == pytest.approx(10.0 / 7.0, rel=1e-15)
         assert result.alpha_eff is not None
         assert result.alpha_eff.alpha == pytest.approx(0.45, abs=1e-15)
 
@@ -111,7 +110,7 @@ class TestReferenceWorkloads:
         result = simulate(spec)
         assert result.serial_time == 5.0
         assert result.parallel_time == 3.0
-        assert result.speedup.value == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert result.speedup == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert result.alpha_eff is not None
         assert result.alpha_eff.one_minus_alpha == pytest.approx(0.2, abs=1e-15)
         chunk_segments = [s for s in result.timeline if s.label.startswith("chunk")]
@@ -125,7 +124,7 @@ class TestSimulatorEdges:
         spec = WorkloadSpec(processors=1, phases=(ParallelPhase(chunks=(2.0, 3.0)),))
         result = simulate(spec)
         assert result.parallel_time == 5.0
-        assert result.speedup.value == 1.0
+        assert result.speedup == 1.0
         assert result.alpha_eff is None
 
     def test_overhead_dominated_run_has_no_estimate(self):
@@ -134,7 +133,7 @@ class TestSimulatorEdges:
             phases=(ParallelPhase(chunks=(0.1, 0.1), dispatch_overhead=10.0, collect_overhead=10.0),),
         )
         result = simulate(spec)
-        assert result.speedup.value < 1.0
+        assert result.speedup < 1.0
         assert result.alpha_eff is None
 
     def test_serial_baseline_excludes_overheads(self):
@@ -330,7 +329,10 @@ NAN, INF = math.nan, math.inf
 
 
 class TestChunkAcceptPath:
-    """Exact float chunks, all > 0 with a finite sum, skip the guards; the guards must agree."""
+    """Exact float chunks with a finite sum pass whole if their smallest passes.
+
+    The guard path must agree.
+    """
 
     @pytest.mark.parametrize("container", [tuple, list, iter])
     @pytest.mark.parametrize("convert", [as_subclass, as_numpy], ids=["subclass", "numpy"])
@@ -379,18 +381,19 @@ class TestChunkAcceptPath:
         for container in (tuple, list, iter):
             assert phase_outcome(container(chunks)) == (InvalidWorkloadError, message)
 
-    def test_exact_float_chunks_call_no_guard(self, monkeypatch):
+    def test_exact_float_chunks_call_the_guard_once_on_their_smallest(self, monkeypatch):
         calls = []
 
         def counting(value, name):
-            calls.append(name)
+            calls.append((value, name))
             return _require_positive(value, name)
 
         monkeypatch.setattr("amdahl.workload._require_positive", counting)
-        WorkloadSpec(2, [ParallelPhase((1.0, 2.0, 3.0)), ParallelPhase([4.0, 5.0])])
-        assert calls == []
+        WorkloadSpec(2, [ParallelPhase((2.0, 1.0, 3.0)), ParallelPhase([5.0, 4.0])])
+        assert calls == [(1.0, "chunk"), (4.0, "chunk")]
+        calls.clear()
         WorkloadSpec(2, [ParallelPhase((1.0, 2))])
-        assert calls == ["chunk", "chunk"]
+        assert calls == [(1.0, "chunk"), (2, "chunk")]
 
 
 @st.composite
@@ -488,7 +491,7 @@ class TestSimulatorProperties:
             phases=(SequentialPhase(2.0), ParallelPhase(chunks=(2.0, 2.0, 2.0))),
         )
         result = simulate(spec)
-        assert result.speedup.value == 2.0
+        assert result.speedup == 2.0
         assert result.alpha_eff is not None
         assert result.alpha_eff.one_minus_alpha == 0.25
         assert result.alpha_eff.alpha == 0.75
@@ -750,7 +753,7 @@ class TestSweepMatchesCheckedInversion:
 
     def test_grid_points_build_no_value_objects(self, monkeypatch):
         built = []
-        for cls in (AlphaEstimate, Speedup, Efficiency):
+        for cls in (AlphaEstimate, Efficiency):
             original = cls.__new__
 
             def counting(cls_, *args, _original=original, **kwargs):
@@ -761,7 +764,7 @@ class TestSweepMatchesCheckedInversion:
         points = sweep_alpha_eff(8, realistic_spec(), [0.1 * i for i in range(10)], [0.0, 0.5, 2.0])
         assert len(points) == 30 and built == []
         simulate(realistic_spec())
-        assert sorted(built) == ["AlphaEstimate", "Speedup"]  # the result's own, once per run
+        assert built == ["AlphaEstimate"]  # the result's own, once per run
 
 
 class TestSweep:
@@ -787,7 +790,8 @@ class TestSweep:
             sweep_alpha_eff(3, realistic_spec(), [0.0], [-1.0])
         with pytest.raises(ValueError):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [10**400])
-        with pytest.raises(ValueError, match=r"^sweep ratios must be finite and >= 0, got -0\.1$"):
+        with pytest.raises(ValueError,
+                           match=r"^sequential ratio 1 must be finite and >= 0, got -0\.1$"):
             sweep_alpha_eff(3, realistic_spec(), [0.0], [-0.1])
 
     def test_numpy_count_gives_plain_floats(self):
